@@ -26,7 +26,6 @@ from .bench import (
     BenchRow,
     CSV_HEADER,
     bench_point,
-    contract_hog,
     measure_peak_memory,
     run_marking,
     sweep,
@@ -91,7 +90,6 @@ __all__ = [
     "build_ehog",
     "build_suffix_lists",
     "contract",
-    "contract_hog",
     "dump_lines",
     "generate_random",
     "get_marker",

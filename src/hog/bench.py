@@ -33,7 +33,7 @@ from .baselines import get_marker
 from .datasets import SplitMix64, StringSet, generate_random
 from .ehog import EhogBuild, build_ehog
 from .marking import MarkTimeout
-from .trie import KIND_HOG, MarkVector, OverlapTrie, contract
+from .trie import MarkVector, OverlapTrie
 
 CSV_HEADER = (
     "dataset,k,n,nodes_act,nodes_ehog,nodes_hog,t_ehog_s,algo,t_mark_s,"
@@ -243,11 +243,6 @@ def bench_point(
     return BenchReport(
         dataset=dataset, seed=seed, build=build, runs=runs, nodes_hog=nodes_hog, rows=rows
     )
-
-
-def contract_hog(build: EhogBuild, marks: MarkVector) -> OverlapTrie:
-    """Contract a verified mark vector into the minimal structure."""
-    return contract(build.trie, marks, KIND_HOG)
 
 
 def sweep(

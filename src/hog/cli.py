@@ -23,7 +23,6 @@ from .baselines import (
 from .bench import (
     BenchError,
     bench_point,
-    contract_hog,
     render_report,
     sweep,
     write_csv,
@@ -41,8 +40,6 @@ from .trie import (
     verify_structure,
 )
 from .ehog import mark_ehog
-
-_REAL_ALGOS = ("new", "khan", "parkcpr", "cazaux")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -115,7 +112,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(render_report(report, args.reps))
     run = report.runs[0]
     if run.marks is not None:
-        hog = contract_hog(report.build, run.marks)
+        hog = contract(report.build.trie, run.marks, KIND_HOG)
         if args.serialize:
             with open(args.serialize, "w", encoding="ascii") as fh:
                 fh.write(to_text(hog))
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build structures with one algorithm")
     _add_dataset_args(p)
-    p.add_argument("--algo", choices=_REAL_ALGOS, default="new")
+    p.add_argument("--algo", choices=algorithm_names(include_oracle=False), default="new")
     p.add_argument("--reps", type=int, default=3, help="timed repetitions (default 3)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--csv", metavar="PATH", help="write measurement rows")
@@ -388,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument(
         "--algos",
-        default=",".join(_REAL_ALGOS),
+        default=",".join(algorithm_names(include_oracle=False)),
         help="comma-separated algorithm list (default: all four)",
     )
     p.add_argument("--reps", type=int, default=3)

@@ -23,11 +23,15 @@ Edge labels are never copied: the label of ``v`` is
 ``string(start[v])[depth[parent[v]]:depth[v]]``, a slice of one retained
 input string.
 
+Leaf intervals are set by ``build_act`` during the sorted insertion and
+carried through by ``contract``; ``leaf_intervals`` recomputes them
+independently, for ``verify_structure``'s audit.
+
 Public API
 ----------
 OverlapTrie        container with navigation helpers
-build_act          sorted strings -> ``act`` trie
-leaf_intervals     per-node [start, end] ranges over sorted string indices
+build_act          sorted strings -> ``act`` trie, intervals included
+leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
 verify_structure   exhaustive invariant audit, returns violation messages
 to_text            stable line-oriented dump for golden tests / --serialize
@@ -38,6 +42,7 @@ A ``MarkVector`` is a plain ``bytearray`` with one 0/1 flag per node id.
 from __future__ import annotations
 
 from array import array
+from itertools import compress, islice
 from typing import Iterator
 
 from .datasets import StringSet
@@ -181,48 +186,67 @@ class OverlapTrie:
 def build_act(ss: StringSet) -> OverlapTrie:
     """Build the one-character-per-edge trie of all prefixes, with suffix links.
 
-    Because ``ss.strings`` is sorted, each string is inserted by walking the
+    Because ``ss.strings`` is sorted, each string is inserted by finding the
     longest common prefix with its predecessor (kept as a node path) and
-    appending fresh nodes for the rest — no child searches, and node ids come
-    out in DFS pre-order.  Suffix links are then filled in breadth-first
-    order by the classic fallback chase over the parent's link.
+    appending its fresh tail of nodes with one C-level copy per column — no
+    child searches, and node ids come out in DFS pre-order.  Leaf intervals
+    are set during the insertion: a fresh node starts at the string that
+    created it, and ends at the last string inserted before it leaves the
+    path.  Suffix links are then filled in breadth-first order by the
+    classic fallback chase over the parent's link.
     """
+    k = ss.k
+    if not k:
+        raise ValueError("cannot build a trie over an empty string set")
+    # fill sources: every column extend below copies a slice of these
+    iota = array("i", range(ss.n + 2))
+    longest = max(map(len, ss.strings))
+    minus_one = array("i", [-1]) * longest
+    all_k = array("i", [k]) * longest
     parent = array("i", [-1])
     depth = array("i", [0])
     edge_byte = array("i", [-1])
     first_child = array("i", [-1])
     next_sibling = array("i", [-1])
     string_of = array("i", [-1])
-    last_child = [-1]
-    leaf_of = array("i", [-1] + [0] * ss.k)
+    start = array("i", [1])
+    end = array("i", [k])  # the root stays on the path to the end
+    leaf_of = array("i", [-1] + [0] * k)
 
     prev = b""
     path = [0]  # path[d] = node at depth d on the previously inserted string
-    for j in range(1, ss.k + 1):
-        s = ss.string(j)
-        lcp, m = 0, min(len(s), len(prev))
-        while lcp < m and s[lcp] == prev[lcp]:
-            lcp += 1
-        del path[lcp + 1 :]
+    for j, s in enumerate(ss.strings, 1):
+        # lcp with prev: the highest differing bit of the common-length
+        # prefixes, read big-endian, falls in the first differing byte
+        m = min(len(s), len(prev))
+        diff = int.from_bytes(s[:m], "big") ^ int.from_bytes(prev[:m], "big")
+        lcp = m - 1 - (diff.bit_length() - 1) // 8 if diff else m
+        # sorted and distinct, so s extends past the lcp: tail >= 1 node
         v = path[lcp]
-        for pos in range(lcp, len(s)):
-            node = len(parent)
-            parent.append(v)
-            depth.append(pos + 1)
-            edge_byte.append(s[pos])
-            first_child.append(-1)
-            next_sibling.append(-1)
-            string_of.append(-1)
-            last_child.append(-1)
-            if last_child[v] == -1:
-                first_child[v] = node
-            else:
-                next_sibling[last_child[v]] = node
-            last_child[v] = node
-            path.append(node)
-            v = node
-        string_of[v] = j
-        leaf_of[j] = v
+        node = len(parent)
+        if len(path) > lcp + 1:
+            # path[lcp + 1] is v's last child so far; the tail follows it
+            next_sibling[path[lcp + 1]] = node
+            for x in path[lcp + 1 :]:
+                end[x] = j - 1
+            del path[lcp + 1 :]
+        else:
+            first_child[v] = node
+        tail = len(s) - lcp
+        last = node + tail - 1
+        parent.append(v)
+        parent += iota[node:last]
+        depth += iota[lcp + 1 : len(s) + 1]
+        edge_byte.extend(s[lcp:])
+        first_child += iota[node + 1 : last + 1]
+        first_child.append(-1)
+        next_sibling += minus_one[:tail]
+        string_of += minus_one[: tail - 1]
+        string_of.append(j)
+        start += iota[j : j + 1] * tail
+        end += all_k[:tail]  # nodes still on the path at the end
+        path += iota[node : last + 1]
+        leaf_of[j] = last
         prev = s
 
     n_nodes = len(parent)
@@ -250,7 +274,7 @@ def build_act(ss: StringSet) -> OverlapTrie:
                     w = suffix_link[w]
             c = next_sibling[c]
 
-    trie = OverlapTrie(
+    return OverlapTrie(
         kind=KIND_ACT,
         strings=ss,
         parent=parent,
@@ -260,18 +284,18 @@ def build_act(ss: StringSet) -> OverlapTrie:
         next_sibling=next_sibling,
         edge_byte=edge_byte,
         string_of=string_of,
-        start=array("i", bytes(4 * n_nodes)),
-        end=array("i", bytes(4 * n_nodes)),
+        start=start,
+        end=end,
         leaf_of=leaf_of,
     )
-    trie.start, trie.end = leaf_intervals(trie)
-    return trie
 
 
 def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
-    """Compute per-node [start, end] sorted-index ranges.
+    """Recompute per-node [start, end] sorted-index ranges from the tree shape.
 
-    A single reverse-id sweep folds each node's range into its parent, which
+    The builder sets intervals during insertion; this independent
+    recomputation is what ``verify_structure`` checks them against.  A
+    single reverse-id sweep folds each node's range into its parent, which
     is correct because parents always precede children in id order.  A node
     that is itself string ``j`` seeds its own range with ``j``.
     """
@@ -300,94 +324,82 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
 def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     """Contract ``t`` to its marked nodes, concatenating edge labels.
 
-    Every marked node's new parent is its nearest marked proper ancestor;
-    suffix links are re-resolved by chasing old links until a marked node is
-    hit (memoized, so the chase is linear overall).  The root and all
-    whole-string nodes must be marked — anything else would break the
-    structure's contracts — and violations raise ``ValueError``.
+    Every marked node's new parent is its nearest marked proper ancestor,
+    found with a stack over the kept nodes in pre-order: leaf intervals are
+    laminar, so a stacked node that is not an ancestor ends before the next
+    kept node starts.  Suffix links are re-resolved by chasing old links
+    until a marked node is hit (memoized in the id map, so the chase is
+    linear overall).  The root and all whole-string nodes must be marked —
+    anything else would break the structure's contracts — and violations
+    raise ``ValueError``.
 
-    Ids stay in ascending old-id order, preserving DFS pre-order and the
-    lexicographic child ordering.
+    The Python-level work is O(kept nodes + unmarked nodes on suffix chases);
+    the only passes over all ``n`` nodes are C-level scans of the mark
+    vector.  Ids stay in ascending old-id order, preserving DFS pre-order
+    and the lexicographic child ordering.
     """
     n = t.n_nodes
     if len(marks) != n:
         raise ValueError(f"mark vector has {len(marks)} flags for {n} nodes")
     if not marks[0]:
         raise ValueError("contract: root is not marked")
+    leaf_of = t.leaf_of
+    # leaf_of ascends with j (pre-order), so the first miss is the lowest id
+    if not all(map(marks.__getitem__, islice(leaf_of, 1, None))):
+        j = next(j for j in range(1, t.k + 1) if not marks[leaf_of[j]])
+        raise ValueError(f"contract: node of whole string {j} is not marked")
 
+    kept = array("i", compress(range(n), marks))  # old ids, ascending
+    m = len(kept)
     newid = array("i", [-1]) * n
-    m = 0
-    string_of = t.string_of
-    for v in range(n):
-        if marks[v]:
-            newid[v] = m
-            m += 1
-        elif string_of[v] != -1:
-            raise ValueError(
-                f"contract: node of whole string {string_of[v]} is not marked"
-            )
+    for nv, v in enumerate(kept):
+        newid[v] = nv
 
-    parent = t.parent
-    depth = t.depth
-    # nearest marked ancestor, as a *new* id, for every old node
-    up = array("i", [-1]) * n
-    for v in range(1, n):
-        p = parent[v]
-        up[v] = newid[p] if marks[p] else up[p]
-
+    new_depth = array("i", map(t.depth.__getitem__, kept))
+    new_string_of = array("i", map(t.string_of.__getitem__, kept))
+    new_start = array("i", map(t.start.__getitem__, kept))
+    new_end = array("i", map(t.end.__getitem__, kept))
     new_parent = array("i", [-1]) * m
-    new_depth = array("i", bytes(4 * m))
-    new_string_of = array("i", [-1]) * m
-    new_start = array("i", bytes(4 * m))
-    new_end = array("i", bytes(4 * m))
     new_edge_byte = array("i", [-1]) * m
     new_first = array("i", [-1]) * m
     new_next = array("i", [-1]) * m
-    new_sl = array("i", bytes(4 * m))
-    last_child = array("i", [-1]) * m
-    start, end = t.start, t.end
 
-    for v in range(n):
-        nv = newid[v]
-        if nv == -1:
-            continue
-        new_depth[nv] = depth[v]
-        new_string_of[nv] = string_of[v]
-        new_start[nv] = start[v]
-        new_end[nv] = end[v]
-        if v:
-            p = up[v]
-            new_parent[nv] = p
-            new_edge_byte[nv] = t.strings.string(start[v])[new_depth[p]]
-            if last_child[p] == -1:
-                new_first[p] = nv
-            else:
-                new_next[last_child[p]] = nv
-            last_child[p] = nv
+    # stack[i + 1]'s new parent is stack[i]; the last node popped before v's
+    # parent surfaces is that parent's previous child
+    strings = t.strings.strings
+    stack = [0]
+    for nv in range(1, m):
+        s = new_start[nv]
+        prev_child = -1
+        while new_end[stack[-1]] < s:
+            prev_child = stack.pop()
+        p = stack[-1]
+        new_parent[nv] = p
+        new_edge_byte[nv] = strings[s - 1][new_depth[p]]
+        if prev_child == -1:
+            new_first[p] = nv
+        else:
+            new_next[prev_child] = nv
+        stack.append(nv)
 
-    # suffix links: chase old links to the first marked node, memoized
+    # suffix links: chase old links to the first marked node; newid doubles
+    # as the memo, resolving each unmarked node on a chase to its target
     suffix_link = t.suffix_link
-    resolved = array("i", newid)  # marked nodes resolve to themselves
+    new_sl = array("i", bytes(4 * m))
     trail: list[int] = []
-    for v in range(1, n):
-        if newid[v] == -1:
-            continue
-        w = suffix_link[v]
-        while resolved[w] == -1:
+    for nv in range(1, m):
+        w = suffix_link[kept[nv]]
+        while newid[w] == -1:
             trail.append(w)
             w = suffix_link[w]
-        tgt = resolved[w]
+        tgt = newid[w]
         for x in trail:
-            resolved[x] = tgt
+            newid[x] = tgt
         trail.clear()
-        new_sl[newid[v]] = tgt
+        new_sl[nv] = tgt
 
-    new_leaf_of = array("i", [-1] + [0] * t.k)
-    for j in range(1, t.k + 1):
-        old = t.leaf_of[j]
-        if newid[old] == -1:  # unreachable given the string_of check above
-            raise ValueError(f"contract: string {j} lost its node")
-        new_leaf_of[j] = newid[old]
+    new_leaf_of = array("i", [-1])
+    new_leaf_of.extend(map(newid.__getitem__, islice(leaf_of, 1, None)))
 
     return OverlapTrie(
         kind=new_kind,

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hog.baselines import mark_hog_oracle
-from hog.datasets import normalize
+from hog.datasets import StringSet, normalize
 from hog.ehog import mark_ehog
+from hog.marking import mark_hog_new
 from hog.trie import (
     KIND_ACT,
     KIND_EHOG,
@@ -55,6 +56,12 @@ def test_act_single_string():
     assert verify_structure(act) == []
 
 
+def test_act_rejects_empty_string_set():
+    empty = StringSet(strings=(), orig_to_sorted=(0,), sorted_to_orig=(0,), alphabet=b"")
+    with pytest.raises(ValueError):
+        build_act(empty)
+
+
 def test_act_shared_prefixes_are_merged():
     act = build_act(normalize([b"ab", b"abc"]))
     # e, a, ab, abc
@@ -95,6 +102,36 @@ def test_act_size_bound_and_audit(raw):
     assert act.n_nodes <= ss.n + 1  # distinct prefixes + root
     assert verify_structure(act) == []
     assert node_strings(act) == {p[:i] for p in ss.strings for i in range(len(p) + 1)}
+
+
+def fibonacci_word(length):
+    a, b = b"a", b"ab"
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
+ACT_FAMILIES = {
+    "unary": [b"a" * i for i in range(1, 41)],
+    "periodic-ab": [b"ab" * i for i in range(1, 16)],
+    "periodic-aab": [b"aab" * i for i in range(1, 12)],
+    "fibonacci-prefixes": [fibonacci_word(i) for i in range(1, 41)],
+    "single": [b"abracadabra"],
+    "nested-prefixes": [b"a", b"ab", b"abc"],
+    "full-bytes": [bytes((b + i) % 256 for i in range(6)) for b in range(256)]
+    + [b"\x00", b"\xff\xff", bytes(range(256))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ACT_FAMILIES))
+def test_act_families_audit_and_mark(family):
+    ss = normalize(ACT_FAMILIES[family])
+    act = build_act(ss)
+    assert verify_structure(act) == []  # includes the interval recomputation
+    assert node_strings(act) == {p[:i] for p in ss.strings for i in range(len(p) + 1)}
+    ext = contract(act, mark_ehog(act), KIND_EHOG)
+    assert verify_structure(ext) == []
+    assert mark_hog_new(ext) == mark_hog_oracle(ext)
 
 
 def test_suffix_links_point_to_longest_proper_suffix():
@@ -149,6 +186,68 @@ def test_contraction_chain_audits_clean(raw):
     assert verify_structure(h) == []
     # string-set containment along the chain
     assert node_strings(h) <= node_strings(e) <= node_strings(act)
+
+
+edge_byte_sets = st.lists(
+    st.lists(st.sampled_from(b"\x00\x01\xfe\xff"), min_size=1, max_size=10).map(bytes)
+    | st.text(alphabet="ab", min_size=1, max_size=10).map(str.encode),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def act_and_marks(draw):
+    """A full trie and a mark vector holding the root, every whole string and
+    random other nodes; the marks need not be closed under suffix links."""
+    raw = draw(edge_byte_sets)
+    # add some proper prefixes so that strings nest
+    raw += [s[: draw(st.integers(1, len(s)))] for s in raw[: draw(st.integers(0, 3))]]
+    act = build_act(normalize(raw))
+    marks = bytearray(draw(st.lists(st.booleans(), min_size=act.n_nodes, max_size=act.n_nodes)))
+    marks[0] = 1
+    for j in range(1, act.k + 1):
+        marks[act.leaf_of[j]] = 1
+    return act, marks
+
+
+@given(act_and_marks())
+@settings(max_examples=300, deadline=None)
+def test_contract_matches_node_string_oracle(case):
+    act, marks = case
+    ss = act.strings
+    assert verify_structure(act) == []
+    kept = sorted(act.node_string(v) for v in range(act.n_nodes) if marks[v])
+    t = contract(act, marks, KIND_HOG)
+    # pre-order with label-ordered children is lexicographic order
+    assert [t.node_string(v) for v in range(t.n_nodes)] == kept
+    ids = {x: v for v, x in enumerate(kept)}
+    for v, x in enumerate(kept):
+        up = [x[:i] for i in range(len(x)) if x[:i] in ids]
+        down = [x[i:] for i in range(1, len(x) + 1) if x[i:] in ids]
+        covered = [j for j in range(1, ss.k + 1) if ss.string(j).startswith(x)]
+        assert t.parent[v] == (ids[up[-1]] if x else -1)
+        assert t.suffix_link[v] == (ids[down[0]] if x else 0)
+        assert t.depth[v] == len(x)
+        assert (t.start[v], t.end[v]) == (covered[0], covered[-1])
+        assert t.string_of[v] == (ss.strings.index(x) + 1 if x in ss.strings else -1)
+        if x:
+            assert t.edge_byte[v] == x[len(up[-1])]
+        children = [c for c in range(t.n_nodes) if t.parent[c] == v]
+        assert list(t.children(v)) == children  # ascending ids = label order
+    assert list(t.leaf_of) == [-1] + [ids[s] for s in ss.strings]
+    assert verify_structure(t) == []
+
+
+def test_contract_reports_lowest_unmarked_whole_string():
+    act = build_act(normalize([b"a", b"ab", b"b"]))
+    marks = bytearray(act.n_nodes)
+    marks[0] = marks[act.leaf_of[1]] = 1
+    with pytest.raises(ValueError, match="whole string 2 is"):
+        contract(act, marks, KIND_HOG)
+    marks[0] = 0
+    with pytest.raises(ValueError, match="root is not marked"):
+        contract(act, marks, KIND_HOG)
 
 
 # -- the audit itself must catch planted defects ------------------------------
