@@ -45,7 +45,6 @@ from .marking import (
     FavStructure,
     MarkTimeout,
     mark_hog_new,
-    op_counters,
     precompute_fav,
 )
 from .queries import QueryEngine, parse_batch, run_batch
@@ -104,7 +103,6 @@ __all__ = [
     "mark_hog_parkcpr",
     "measure_peak_memory",
     "normalize",
-    "op_counters",
     "ov_length",
     "parse_batch",
     "precompute_fav",

@@ -103,22 +103,6 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
     )
 
 
-def op_counters(run) -> dict[str, int]:
-    """Extract the two linearity counters from an instrumented marking run.
-
-    ``run`` is either the counters mapping passed to ``mark_hog_new`` or any
-    object carrying one as a ``counters`` attribute (e.g. a benchmark run).
-    ``suffix_hops`` counts suffix-path nodes processed (so a string whose
-    path is just the root contributes 0); ``count_updates`` counts counter
-    writes, restores included.
-    """
-    counters = run if isinstance(run, dict) else run.counters
-    return {
-        "suffix_hops": counters["suffix_hops"],
-        "count_updates": counters["count_updates"],
-    }
-
-
 def mark_hog_new(
     t: OverlapTrie,
     counters: dict[str, int] | None = None,

@@ -8,10 +8,16 @@ suffix-prefix matches of the pair ``(i, j)``, and the deepest of them is the
 maximal overlap ``ov(i, j)`` — except that ``j``'s own node must be skipped,
 since an overlap has to be a *proper* prefix of string ``j``.
 
-Batched one-against-all queries reuse a skip-pointer array (union-find with
-path halving over sorted positions) so each query touches every answered
-index once; a touch journal restores the identity map afterwards, keeping
-the engine stateless between calls without O(k) resets.
+One-against-all queries walk that path deepest node first, keeping the
+answered indices as sorted, disjoint runs.  Trie intervals are laminar and
+path depths fall, so a node's interval contains every earlier run it touches
+or misses them all: one ``bisect`` finds the contained runs, the gaps between
+them are the indices the node answers, and the runs merge into one.  A
+whole-string node ``v`` is the first string of its interval (``start[v] ==
+string_of[v]``) and no deeper path node covers that string, so skipping it
+trims the range to ``start[v] + 1 .. end[v]``.  Answers are read from the
+runs with slice work, never one Python step per index, and no state
+outlives a query.
 
 Query inputs are 1-based *original* (pre-deduplication) string positions;
 answer vectors and reported indices live in sorted-index space, because
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from array import array
+from bisect import bisect_left, bisect_right
 
 from .trie import KIND_EHOG, KIND_HOG, OverlapTrie
 
@@ -31,7 +37,7 @@ from .trie import KIND_EHOG, KIND_HOG, OverlapTrie
 class QueryEngine:
     """Overlap queries over one structure; reusable across many queries."""
 
-    __slots__ = ("t", "_next", "_touched")
+    __slots__ = ("t",)
 
     def __init__(self, t: OverlapTrie) -> None:
         if t.kind not in (KIND_HOG, KIND_EHOG):
@@ -39,10 +45,6 @@ class QueryEngine:
                 f"query engine needs a contracted structure, got kind={t.kind!r}"
             )
         self.t = t
-        # identity skip pointers over 1..k, plus a sentinel at k+1 so a
-        # splice can always point one past its position
-        self._next = array("i", range(t.k + 2))
-        self._touched: list[int] = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -52,85 +54,73 @@ class QueryEngine:
             raise IndexError(f"string position {i} out of range 1..{len(o2s) - 1}")
         return o2s[i]
 
-    def _find(self, j: int) -> int:
-        """Next not-yet-answered position ≥ j (path-halving, journaled)."""
-        nxt = self._next
-        touched = self._touched
-        while True:
-            p = nxt[j]
-            if p == j:
-                return j
-            g = nxt[p]
-            if g == p:
-                return p
-            nxt[j] = g
-            touched.append(j)
-            j = g
-
-    def _unwind(self) -> None:
-        nxt = self._next
-        for idx in self._touched:
-            nxt[idx] = idx
-        self._touched.clear()
-
     def scratch_is_clean(self) -> bool:
-        """True iff the reusable scratch is back to its identity state."""
-        nxt = self._next
-        return not self._touched and all(nxt[j] == j for j in range(len(nxt)))
+        """Always true: no scratch outlives a query."""
+        return True
 
     def state_fingerprint(self) -> int:
-        """Hash of the mutable engine state; equal before and after any
-        query when the journal unwound correctly."""
-        return zlib.crc32(self._next.tobytes()) ^ len(self._touched)
+        """CRC of the columns queries read; equal before and after any query
+        because queries never write to the structure."""
+        t = self.t
+        crc = 0
+        for col in (t.depth, t.suffix_link, t.start, t.end, t.string_of, t.leaf_of):
+            crc = zlib.crc32(col.tobytes(), crc)
+        return crc
 
-    def _collect(
-        self, si: int, min_depth: int, cap: int | None
-    ) -> list[tuple[int, int]]:
-        """Deepest-covering (sorted index, overlap length) pairs for string
-        ``si``, walking only nodes of depth ≥ ``min_depth`` (the root takes
-        part only when ``min_depth`` is 0), stopping after ``cap`` pairs.
-
-        Pair order: descending overlap length, ascending index within equal
-        lengths (suffix-path depths strictly decrease, interval scans
-        ascend).
+    def _walk(
+        self, si: int, min_depth: int, cap: int, new: list | None
+    ) -> tuple[list[int], list[int], int]:
+        """Answered runs of string ``si`` (ascending starts, inclusive ends)
+        and the count of indices in them, over suffix-path nodes of depth ≥
+        ``min_depth``, stopping after the node that reaches ``cap``.  When
+        ``new`` is a list, each node's newly answered pieces go into it as
+        ``(lo, hi, depth)``, in walk order and ascending within a node.
         """
-        out: list[tuple[int, int]] = []
-        if cap is not None and cap <= 0:
-            return out
         t = self.t
         sl = t.suffix_link
         depth = t.depth
         start = t.start
         end = t.end
         string_of = t.string_of
-        nxt = self._next
-        touched = self._touched
+        los: list[int] = []
+        his: list[int] = []
+        n = 0
         v = sl[t.leaf_of[si]]
         while True:
             d = depth[v]
             if d < min_depth:
                 break
-            e = end[v]
-            own = string_of[v]
-            j = self._find(start[v])
-            while j <= e:
-                if j == own:
-                    # j's own node: not a proper prefix of string j; leave j
-                    # pending for the next covering (shallower) node
-                    j = self._find(j + 1)
-                    continue
-                out.append((j, d))
-                nxt[j] = j + 1
-                touched.append(j)
-                if cap is not None and len(out) >= cap:
-                    self._unwind()
-                    return out
-                j = self._find(j + 1)
+            lo = start[v] + (string_of[v] != -1)
+            hi = end[v]
+            if lo <= hi:
+                a = bisect_left(los, lo)
+                if a == len(los) or los[a] > hi:
+                    los.insert(a, lo)
+                    his.insert(a, hi)
+                    n += hi - lo + 1
+                    if new is not None:
+                        new.append((lo, hi, d))
+                else:
+                    b = bisect_right(los, hi, a)
+                    ilo = los[a:b]
+                    ihi = his[a:b]
+                    n += hi - lo + 1 - (sum(ihi) - sum(ilo) + b - a)
+                    if new is not None:
+                        g0 = lo
+                        for g1, h in zip(ilo, ihi):
+                            if g0 < g1:
+                                new.append((g0, g1 - 1, d))
+                            g0 = h + 1
+                        if g0 <= hi:
+                            new.append((g0, hi, d))
+                    los[a:b] = (lo,)
+                    his[a:b] = (hi,)
+                if n >= cap:
+                    break
             if v == 0:
                 break
             v = sl[v]
-        self._unwind()
-        return out
+        return los, his, n
 
     # -- queries ----------------------------------------------------------
 
@@ -153,10 +143,12 @@ class QueryEngine:
     def one_to_all(self, i: int) -> list[int]:
         """Vector of maximal overlap lengths from ``i`` to every string, in
         sorted-index order (entry ``j - 1`` is ``ov(i, j)``)."""
-        si = self._orig(i)
-        vec = [0] * self.t.k
-        for j, d in self._collect(si, 1, None):
-            vec[j - 1] = d
+        k = self.t.k
+        vec = [0] * k
+        new: list[tuple[int, int, int]] = []
+        self._walk(self._orig(i), 1, k, new)
+        for lo, hi, d in new:
+            vec[lo - 1:hi] = [d] * (hi - lo + 1)
         return vec
 
     def report(self, i: int, min_len: int) -> list[int]:
@@ -168,15 +160,16 @@ class QueryEngine:
         """
         if min_len < 0:
             raise ValueError("min_len must be non-negative")
-        si = self._orig(i)
-        return sorted(j for j, _ in self._collect(si, min_len, None))
+        los, his, n = self._walk(self._orig(i), min_len, self.t.k, None)
+        if n == len(los):  # every run is one index
+            return los
+        return [j for lo, hi in zip(los, his) for j in range(lo, hi + 1)]
 
     def count(self, i: int, min_len: int) -> int:
         """How many ``j`` satisfy ``ov(i, j) ≥ min_len``."""
         if min_len < 0:
             raise ValueError("min_len must be non-negative")
-        si = self._orig(i)
-        return len(self._collect(si, min_len, None))
+        return self._walk(self._orig(i), min_len, self.t.k, None)[2]
 
     def top(self, i: int, c: int) -> list[int]:
         """Sorted indices of the ``min(c, k)`` largest overlaps from ``i``,
@@ -185,8 +178,14 @@ class QueryEngine:
         positive, and ``c > k`` clamps to ``k``."""
         if c < 0:
             raise ValueError("c must be non-negative")
-        si = self._orig(i)
-        return [j for j, _ in self._collect(si, 0, min(c, self.t.k))]
+        cap = min(c, self.t.k)
+        new: list[tuple[int, int, int]] = []
+        if self._walk(self._orig(i), 0, cap, new)[2] == len(new):  # one index per piece
+            return [lo for lo, _, _ in new[:cap]]
+        out: list[int] = []
+        for lo, hi, _ in new:
+            out += range(lo, min(hi + 1, lo + cap - len(out)))
+        return out
 
 
 # -- batch format -----------------------------------------------------------

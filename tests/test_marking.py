@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
 from hog.ehog import mark_ehog
-from hog.marking import MarkTimeout, mark_hog_new, op_counters, precompute_fav
+from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
 
 string_sets = st.lists(
@@ -113,18 +113,6 @@ def test_counters_fig1():
     assert c["suffix_hops"] == 6
     assert c["count_updates"] == 6
     assert c["vm_lengths"] == [1, 1, 1]
-
-
-def test_op_counters_accepts_mapping_or_run_object():
-    e = ehog_of([b"aa"])
-    c = {}
-    mark_hog_new(e, counters=c)
-    assert op_counters(c) == {"suffix_hops": 1, "count_updates": 2}
-
-    class Run:
-        counters = c
-
-    assert op_counters(Run()) == op_counters(c)
 
 
 @given(string_sets)
