@@ -10,9 +10,7 @@ Points run serially: parallel timing in one interpreter would contend on
 the GIL and lie.
 
 Peak memory is the traced-allocation peak of the warmup run (portable and
-repeatable); the OS-level peak RSS is reported alongside when the platform
-exposes it, but never lands in the CSV, whose schema is frozen as
-:data:`CSV_HEADER`.
+repeatable).  The CSV schema is frozen as :data:`CSV_HEADER`.
 """
 
 from __future__ import annotations
@@ -23,11 +21,6 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Callable
-
-try:
-    import resource
-except ImportError:  # non-POSIX
-    resource = None  # type: ignore[assignment]
 
 from .baselines import get_marker
 from .datasets import SplitMix64, StringSet, generate_random
@@ -47,13 +40,11 @@ class BenchError(RuntimeError):
     """Raised when compared algorithms disagree, or a run cannot proceed."""
 
 
-def measure_peak_memory(fn: Callable[[], Any]) -> tuple[Any, int, int | None]:
+def measure_peak_memory(fn: Callable[[], Any]) -> tuple[Any, int]:
     """Run ``fn`` under the allocation tracer.
 
-    Returns ``(result, peak_traced_bytes, peak_rss_bytes_or_None)``.  The
-    traced figure counts Python-level allocations only and is the portable,
-    repeatable number; RSS is the OS high-water mark of the whole process
-    (monotone over its lifetime, so only informative on first touch).
+    Returns ``(result, peak_traced_bytes)``.  The traced figure counts
+    Python-level allocations only and is portable and repeatable.
     """
     gc.collect()
     tracemalloc.start()
@@ -62,10 +53,7 @@ def measure_peak_memory(fn: Callable[[], Any]) -> tuple[Any, int, int | None]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rss = None
-    if resource is not None:
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    return result, peak, rss
+    return result, peak
 
 
 @dataclass
@@ -79,7 +67,6 @@ class MarkingRun:
     marks: MarkVector | None = None
     counters: dict[str, int] = field(default_factory=dict)
     peak_alloc: int = 0
-    peak_rss: int | None = None
     timed_out: bool = False
 
 
@@ -99,7 +86,7 @@ def run_marking(
         return None if timeout_s is None else time.monotonic() + timeout_s
 
     try:
-        result, peak, rss = measure_peak_memory(
+        result, peak = measure_peak_memory(
             lambda: marker(trie, counters=run.counters, deadline=deadline())
         )
     except MarkTimeout:
@@ -107,7 +94,6 @@ def run_marking(
         return run
     run.marks = result
     run.peak_alloc = peak
-    run.peak_rss = rss
     try:
         for _ in range(reps):
             t0 = time.perf_counter()

@@ -5,7 +5,9 @@ One class serves all three structure kinds used in this package:
 ``act``
     The full prefix trie of a sorted string set, one character per edge,
     augmented with suffix links (an Aho–Corasick-style automaton skeleton).
-    At most ``n + 1`` nodes for total input length ``n``.
+    At most ``n + 1`` nodes for total input length ``n``.  Each string's
+    fresh nodes get consecutive ids, so its suffix links are filled by walking
+    down that run of ids, not breadth-first.
 ``ehog``
     The contraction of the ``act`` to the root, the whole strings, and every
     node reachable by walking suffix links from a whole-string node (a
@@ -42,7 +44,7 @@ A ``MarkVector`` is a plain ``bytearray`` with one 0/1 flag per node id.
 from __future__ import annotations
 
 from array import array
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import Iterator
 
 from .datasets import StringSet
@@ -183,6 +185,17 @@ class OverlapTrie:
         )
 
 
+def _lcp(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``.
+
+    The highest differing bit of the common-length prefixes, read
+    big-endian, falls in the first differing byte.
+    """
+    m = min(len(a), len(b))
+    diff = int.from_bytes(a[:m], "big") ^ int.from_bytes(b[:m], "big")
+    return m - 1 - (diff.bit_length() - 1) // 8 if diff else m
+
+
 def build_act(ss: StringSet) -> OverlapTrie:
     """Build the one-character-per-edge trie of all prefixes, with suffix links.
 
@@ -192,8 +205,17 @@ def build_act(ss: StringSet) -> OverlapTrie:
     child searches, and node ids come out in DFS pre-order.  Leaf intervals
     are set during the insertion: a fresh node starts at the string that
     created it, and ends at the last string inserted before it leaves the
-    path.  Suffix links are then filled in breadth-first order by the
-    classic fallback chase over the parent's link.
+    path.
+
+    Suffix links are then filled by the classic fallback chase over the
+    parent's link, walking the nodes in id order: string by string, each
+    string's tail of fresh nodes top-down.  A chase that meets a link not
+    yet filled (a later string's tail) parks its node in a per-depth bucket
+    and skips the rest of that tail; the buckets are drained in ascending
+    depth, when every shallower link is final, each resuming its tail.  Where
+    a tail's links climb down the first-child chain of a target node (long
+    overlaps, as in reads from one genome), the rest of that run is found
+    with one byte-level lcp and copied with one slice.
     """
     k = ss.k
     if not k:
@@ -216,11 +238,7 @@ def build_act(ss: StringSet) -> OverlapTrie:
     prev = b""
     path = [0]  # path[d] = node at depth d on the previously inserted string
     for j, s in enumerate(ss.strings, 1):
-        # lcp with prev: the highest differing bit of the common-length
-        # prefixes, read big-endian, falls in the first differing byte
-        m = min(len(s), len(prev))
-        diff = int.from_bytes(s[:m], "big") ^ int.from_bytes(prev[:m], "big")
-        lcp = m - 1 - (diff.bit_length() - 1) // 8 if diff else m
+        lcp = _lcp(s, prev)
         # sorted and distinct, so s extends past the lcp: tail >= 1 node
         v = path[lcp]
         node = len(parent)
@@ -250,29 +268,64 @@ def build_act(ss: StringSet) -> OverlapTrie:
         prev = s
 
     n_nodes = len(parent)
-    suffix_link = array("i", bytes(4 * n_nodes))  # zero-filled: root -> root
-    queue = array("i", [0])
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        c = first_child[u]
-        while c != -1:
-            queue.append(c)
-            if u != 0:
+    strings = ss.strings
+    suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
+    suffix_link[0] = 0
+    # deferred[d]: the nodes of depth d whose chase met an unresolved link
+    deferred = [array("i") for _ in range(longest + 1)]
+    resumed = ((c, leaf_of[start[c]]) for c in chain.from_iterable(deferred))
+    for c, last in chain([(1, n_nodes - 1)], resumed):
+        streak = 0
+        while c <= last:
+            u = parent[c]
+            if u:
                 b = edge_byte[c]
                 w = suffix_link[u]
-                while True:
+                while w != -1:
                     x = first_child[w]
                     while x != -1 and edge_byte[x] != b:
                         x = next_sibling[x]
-                    if x != -1:
-                        suffix_link[c] = x
+                    if x != -1 or w == 0:
                         break
-                    if w == 0:
-                        break  # stays 0 (root)
                     w = suffix_link[w]
-            c = next_sibling[c]
+                else:
+                    # resume c once every shallower link is final; the rest
+                    # of its string's tail hangs below it
+                    deferred[depth[c]].append(c)
+                    c = leaf_of[start[c]] + 1
+                    streak = 0
+                    continue
+                if x == -1:
+                    x = 0
+            else:
+                w = x = 0
+            suffix_link[c] = x
+            # trying a run costs about four single steps and random text
+            # rarely has long ones, so it waits for six first-child steps in
+            # a row (pre-order puts a node's first child right after it)
+            if x != w + 1:
+                streak = 0
+            elif streak < 5:
+                streak += 1
+            else:
+                # c's tail spells s, and the first-child chain below x
+                # spells t up to t's end: both go on while their bytes agree
+                s = strings[start[c] - 1]
+                t = strings[start[x] - 1]
+                dc = depth[c]
+                dx = depth[x]
+                run = 0
+                width = 8
+                while True:
+                    got = _lcp(s[dc + run : dc + run + width], t[dx + run : dx + run + width])
+                    run += got
+                    if got < width:  # a mismatch, or the end of s or t
+                        break
+                    width *= 2
+                suffix_link[c + 1 : c + 1 + run] = iota[x + 1 : x + 1 + run]
+                c += run
+                streak = 0
+            c += 1
 
     return OverlapTrie(
         kind=KIND_ACT,
@@ -335,12 +388,30 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
 
     The Python-level work is O(kept nodes + unmarked nodes on suffix chases);
     the only passes over all ``n`` nodes are C-level scans of the mark
-    vector.  Ids stay in ascending old-id order, preserving DFS pre-order
-    and the lexicographic child ordering.
+    vector.  When every node is marked, the result is a column-by-column
+    copy of ``t``.  Ids stay in ascending old-id order, preserving DFS
+    pre-order and the lexicographic child ordering.
     """
     n = t.n_nodes
     if len(marks) != n:
         raise ValueError(f"mark vector has {len(marks)} flags for {n} nodes")
+    if 0 not in marks:
+        # every node kept (random text at the minimal step): the same
+        # columns, copied so that the two structures stay independent
+        return OverlapTrie(
+            kind=new_kind,
+            strings=t.strings,
+            parent=t.parent[:],
+            depth=t.depth[:],
+            suffix_link=t.suffix_link[:],
+            first_child=t.first_child[:],
+            next_sibling=t.next_sibling[:],
+            edge_byte=t.edge_byte[:],
+            string_of=t.string_of[:],
+            start=t.start[:],
+            end=t.end[:],
+            leaf_of=t.leaf_of[:],
+        )
     if not marks[0]:
         raise ValueError("contract: root is not marked")
     leaf_of = t.leaf_of

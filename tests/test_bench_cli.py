@@ -65,17 +65,16 @@ def test_write_csv_round_trip(tmp_path):
 # -- measurement ----------------------------------------------------------------
 
 def test_measure_peak_memory_shape():
-    result, peak, rss = measure_peak_memory(lambda: bytearray(512 * 1024))
+    result, peak = measure_peak_memory(lambda: bytearray(512 * 1024))
     assert len(result) == 512 * 1024
     assert peak >= 512 * 1024
-    assert rss is None or isinstance(rss, int)
 
 
 def test_measure_peak_memory_is_deterministic():
     fn = lambda: [0] * 50_000
     measure_peak_memory(fn)  # first call pays one-time tracer warmup
-    _, first, _ = measure_peak_memory(fn)
-    _, second, _ = measure_peak_memory(fn)
+    _, first = measure_peak_memory(fn)
+    _, second = measure_peak_memory(fn)
     assert first == second
 
 

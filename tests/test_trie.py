@@ -1,5 +1,8 @@
 """Full prefix trie, contraction, and the structural audit."""
 
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from hog.trie import (
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
+    _lcp,
     build_act,
     contract,
     leaf_intervals,
@@ -129,6 +133,7 @@ def test_act_families_audit_and_mark(family):
     act = build_act(ss)
     assert verify_structure(act) == []  # includes the interval recomputation
     assert node_strings(act) == {p[:i] for p in ss.strings for i in range(len(p) + 1)}
+    assert act.suffix_link == bfs_suffix_links(act)
     ext = contract(act, mark_ehog(act), KIND_EHOG)
     assert verify_structure(ext) == []
     assert mark_hog_new(ext) == mark_hog_oracle(ext)
@@ -143,7 +148,101 @@ def test_suffix_links_point_to_longest_proper_suffix():
         assert act.node_string(act.suffix_link[v]) == want
 
 
+# -- suffix links against the breadth-first construction ----------------------
+
+def bfs_suffix_links(t):
+    """Reference: Aho–Corasick's breadth-first fill, every parent's link
+    final before its children's chase."""
+    first_child, next_sibling, edge_byte = t.first_child, t.next_sibling, t.edge_byte
+    suffix_link = array("i", bytes(4 * t.n_nodes))
+    queue = [0]
+    for u in queue:
+        c = first_child[u]
+        while c != -1:
+            queue.append(c)
+            if u != 0:
+                b = edge_byte[c]
+                w = suffix_link[u]
+                while True:
+                    x = first_child[w]
+                    while x != -1 and edge_byte[x] != b:
+                        x = next_sibling[x]
+                    if x != -1:
+                        suffix_link[c] = x
+                        break
+                    if w == 0:
+                        break
+                    w = suffix_link[w]
+            c = next_sibling[c]
+    return suffix_link
+
+
+@st.composite
+def sampled_reads(draw):
+    """Long, heavily overlapping reads of a short random genome, with
+    duplicates and reads that are prefixes of other reads."""
+    alphabet = draw(st.sampled_from(["ab", "acgt"]))
+    genome = draw(st.text(alphabet=alphabet, min_size=2, max_size=150)).encode()
+    length = draw(st.integers(1, len(genome)))
+    starts = st.integers(0, len(genome) - length)
+    reads = [genome[p : p + length] for p in draw(st.lists(starts, min_size=1, max_size=25))]
+    reads += draw(st.lists(st.sampled_from(reads), max_size=3))
+    for r in reads[: draw(st.integers(0, 4))]:
+        reads.append(r[: draw(st.integers(1, len(r)))])
+    return reads
+
+
+full_byte_sets = st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=12)
+
+
+@given(sampled_reads() | full_byte_sets)
+@settings(max_examples=300, deadline=None)
+def test_suffix_links_match_breadth_first(raw):
+    act = build_act(normalize(raw))
+    assert act.suffix_link == bfs_suffix_links(act)
+
+
+def test_large_read_set_suffix_links_match_breadth_first():
+    # verify_structure's maximality audit stops at 4,000 nodes, so at this
+    # size only the reference checks the links
+    rng = random.Random(5)
+    genome = bytes(rng.choice(b"ACGT") for _ in range(3000))
+    reads = []
+    for _ in range(70):
+        p = rng.randrange(len(genome) - 400)
+        reads.append(genome[p : p + rng.randrange(300, 400)])
+    reads += [r[: len(r) // 2] for r in reads[:5]] + reads[:3]
+    act = build_act(normalize(reads))
+    assert act.n_nodes >= 20_000
+    assert act.suffix_link == bfs_suffix_links(act)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 64])
+def test_lcp(m):
+    a = bytes(range(m))
+    assert _lcp(a, a) == m
+    assert _lcp(a, a + b"x") == _lcp(a + b"x", a) == m
+    assert _lcp(a + b"\x00", a + b"\x01") == m
+    assert _lcp(a + b"\xff" * 9, a + b"\xfe" * 9) == m
+    assert _lcp(b"", a) == 0
+
+
 # -- contraction --------------------------------------------------------------
+
+def test_contract_of_all_marked_is_an_independent_copy():
+    ss = normalize([b"aabaa", b"aadbd", b"dbdaa"])
+    act = build_act(ss)
+    t = contract(act, bytearray(b"\x01") * act.n_nodes, KIND_EHOG)
+    assert t.kind == KIND_EHOG
+    assert t.strings is act.strings
+    assert verify_structure(t) == []
+    columns = ("parent", "depth", "suffix_link", "first_child", "next_sibling",
+               "edge_byte", "string_of", "start", "end", "leaf_of")
+    before = {c: array("i", getattr(act, c)) for c in columns}
+    for c in columns:
+        assert getattr(t, c) == before[c]
+        getattr(t, c)[-1] += 1
+        assert getattr(act, c) == before[c]
 
 def test_contract_keeps_only_marked_nodes():
     e = build_ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
