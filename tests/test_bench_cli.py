@@ -80,7 +80,13 @@ def test_measure_peak_memory_is_deterministic():
 
 def test_marking_peaks_reproduce_across_identical_builds():
     ss = generate_random(50, 1500, b"ACGT", seed=3)
-    first = run_marking(build_ehog(ss).trie, "new", reps=1)  # warmup, see above
+    # CPython sizes each new instance's attribute storage one slot smaller
+    # than the last until it fits the class (about 30 instances), so the
+    # traced peak shrinks over the first runs of a fresh interpreter.  Warm
+    # the tracer and that state here, so that the test does not depend on
+    # what ran before it.
+    for _ in range(40):
+        run_marking(build_ehog(ss).trie, "new", reps=1)
     second = run_marking(build_ehog(ss).trie, "new", reps=1)
     third = run_marking(build_ehog(ss).trie, "new", reps=1)
     assert second.peak_alloc == third.peak_alloc

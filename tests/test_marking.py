@@ -8,6 +8,7 @@ from hog.datasets import normalize
 from hog.ehog import mark_ehog
 from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
+from test_trie import ACT_FAMILIES, sampled_reads
 
 string_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=10).map(str.encode),
@@ -121,9 +122,14 @@ def test_journal_bound_and_restore(raw):
     ss = normalize(raw)
     act = build_act(ss)
     e = contract(act, mark_ehog(act), KIND_EHOG)
+    fav = precompute_fav(e)
     c = {}
-    marks = mark_hog_new(e, counters=c, check_restore=True)
+    marks = mark_hog_new(e, counters=c, fav=fav)
+    # the journal leaves the shared counters as it found them
+    assert fav.count == fav.base_count
+    assert fav.v_m == []
     assert bytes(marks) == bytes(mark_hog_oracle(e))
+    assert bytes(mark_hog_new(e, fav=fav)) == bytes(marks)
     # each pass journals at most one counter per path node plus the
     # blackening charges, all bounded by the string's own length
     for j, vm_len in enumerate(c["vm_lengths"], start=1):
@@ -140,6 +146,39 @@ def test_same_marked_strings_on_full_and_extended(raw):
     on_act = marked_strings(act, mark_hog_new(act))
     on_ehog = marked_strings(e, mark_hog_new(e))
     assert on_act == on_ehog
+
+
+# -- walks that stop where the rest of the suffix path is marked ----------------
+
+def assert_marks_match_oracle(raw):
+    act = build_act(normalize(raw))
+    ext = contract(act, mark_ehog(act), KIND_EHOG)
+    for t in (act, ext):
+        assert bytes(mark_hog_new(t)) == bytes(mark_hog_oracle(t))
+
+
+@pytest.mark.parametrize("family", sorted(ACT_FAMILIES))
+def test_families_match_oracle_on_full_and_extended(family):
+    assert_marks_match_oracle(ACT_FAMILIES[family])
+
+
+@given(sampled_reads())
+@settings(max_examples=300, deadline=None)
+def test_sampled_reads_match_oracle(raw):
+    # overlapping reads make later walks join an already-flagged tail
+    # partway down their suffix paths
+    assert_marks_match_oracle(raw)
+
+
+def test_unary_walks_are_linear_in_k():
+    k = 2000
+    act = build_act(normalize([b"a" * i for i in range(1, k + 1)]))
+    for t in (act, contract(act, mark_ehog(act), KIND_EHOG)):
+        c = {}
+        marks = mark_hog_new(t, counters=c)
+        assert sum(marks) == t.n_nodes == k + 1  # every node is a whole string
+        # a walk that ran to the root would make k(k - 1) / 2 hops in all
+        assert c["suffix_hops"] <= 2 * k
 
 
 def test_fav_structure_is_reusable_across_runs():
