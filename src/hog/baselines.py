@@ -27,7 +27,6 @@ All markers share the signature ``f(trie, counters=None, deadline=None,
 from __future__ import annotations
 
 import time
-import zlib
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -242,16 +241,11 @@ class IntervalCoverTree:
             node, old = journal.pop()
             uncov[node] = old
 
-    def state_hash(self) -> int:
-        """CRC of the full counter array — cheap reset-invariant checks."""
-        return zlib.crc32(self.uncov.tobytes())
-
 
 def mark_hog_parkcpr(
     t: OverlapTrie,
     counters: dict[str, int] | None = None,
     deadline: float | None = None,
-    check_reset: bool = False,
 ) -> MarkVector:
     """Suffix-path walk deciding marks with an :class:`IntervalCoverTree`.
 
@@ -271,7 +265,6 @@ def mark_hog_parkcpr(
     start = t.start
     end = t.end
     tree = IntervalCoverTree(k)
-    clean = tree.state_hash() if check_reset else 0
     queries = 0
     for j in range(1, k + 1):
         cp = tree.checkpoint()
@@ -285,8 +278,6 @@ def mark_hog_parkcpr(
                 tree.cover(start[v], end[v])
             v = sl[v]
         tree.rollback(cp)
-        if check_reset and tree.state_hash() != clean:
-            raise AssertionError(f"cover tree not reset after string {j}")
         if deadline is not None and time.monotonic() > deadline:
             raise MarkTimeout(f"cover-tree marking passed its deadline at string {j}/{k}")
     if counters is not None:

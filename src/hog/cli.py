@@ -3,7 +3,8 @@
 Datasets come either from a file (``--input``, one string per line or
 FASTA) or a seeded generator (``--random K N``).  All subcommands print
 human-oriented reports to stdout; machine-oriented output goes to the
-frozen-schema CSV (``--csv``) or a ``--serialize`` text dump.
+frozen-schema CSV (``--csv``) or a ``--serialize`` text dump.  ``verify``
+only drives the oracle suite in :mod:`hog.verify`.
 """
 
 from __future__ import annotations
@@ -12,14 +13,8 @@ import argparse
 import os
 import statistics
 import sys
-import random as _random
 
-from .baselines import (
-    algorithm_names,
-    brute_force_ov,
-    get_marker,
-    ov_length,
-)
+from .baselines import algorithm_names, get_marker
 from .bench import (
     BenchError,
     bench_point,
@@ -31,15 +26,8 @@ from .bench import (
 from .datasets import StringSet, generate_random, load_fasta, load_lines, normalize
 from .ehog import build_ehog
 from .queries import QueryEngine, parse_batch, run_batch
-from .trie import (
-    KIND_EHOG,
-    KIND_HOG,
-    build_act,
-    contract,
-    to_text,
-    verify_structure,
-)
-from .ehog import mark_ehog
+from .trie import KIND_EHOG, KIND_HOG, contract, to_text
+from .verify import instances, verify_instance
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -196,168 +184,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- the oracle suite --------------------------------------------------------
-
-
-def _brute_ehog_strings(strings: tuple[bytes, ...]) -> set[bytes]:
-    """Independent node-set oracle for the extended structure: the empty
-    string, every whole string, and every proper suffix of one string that
-    is a prefix of another (self included)."""
-    out: set[bytes] = {b""}
-    out.update(strings)
-    for p in strings:
-        for drop in range(1, len(p)):
-            s = p[drop:]
-            if any(q.startswith(s) for q in strings):
-                out.add(s)
-    return out
-
-
-def _random_instance(rng: _random.Random) -> list[bytes]:
-    alpha = rng.choice((b"a", b"ab", b"ab", b"abcd", b"ACGT"))
-    k = rng.randint(1, 9)
-    raw: list[bytes] = []
-    for _ in range(k):
-        ln = rng.randint(1, 12)
-        s = bytes(rng.choice(alpha) for _ in range(ln))
-        raw.append(s)
-    # sprinkle structure: borders, prefixes, duplicates
-    if len(raw) >= 2 and rng.random() < 0.5:
-        s = rng.choice(raw)
-        m = rng.randint(1, len(s))
-        raw.append(s + s[:m])
-    if rng.random() < 0.4:
-        s = rng.choice(raw)
-        if len(s) > 1:
-            raw.append(s[: rng.randint(1, len(s) - 1)])
-    if rng.random() < 0.25:
-        raw.append(rng.choice(raw))
-    return raw
-
-
-def verify_instance(ss: StringSet) -> list[str]:
-    """Run every cross-check on one small string set; return failures."""
-    problems: list[str] = []
-    strings = ss.strings
-
-    act = build_act(ss)
-    for msg in verify_structure(act):
-        problems.append(f"full trie: {msg}")
-
-    emarks = mark_ehog(act)
-    ehog = contract(act, emarks, KIND_EHOG)
-    for msg in verify_structure(ehog):
-        problems.append(f"extended structure: {msg}")
-    want_e = _brute_ehog_strings(strings)
-    got_e = {ehog.node_string(v) for v in range(ehog.n_nodes)}
-    if got_e != want_e:
-        problems.append(
-            f"extended node set mismatch: extra={got_e - want_e!r} "
-            f"missing={want_e - got_e!r}"
-        )
-
-    want_h = brute_force_ov(strings) | set(strings) | {b""}
-    vectors = {}
-    for algo in algorithm_names(include_oracle=True):
-        vectors[algo] = get_marker(algo)(ehog)
-    ref = vectors["oracle"]
-    for algo, vec in vectors.items():
-        if bytes(vec) != bytes(ref):
-            v = next(i for i in range(len(ref)) if vec[i] != ref[i])
-            problems.append(
-                f"marks: {algo} disagrees with oracle at node {v} "
-                f"({ehog.node_string(v)!r})"
-            )
-    hog = contract(ehog, ref, KIND_HOG)
-    for msg in verify_structure(hog):
-        problems.append(f"minimal structure: {msg}")
-    got_h = {hog.node_string(v) for v in range(hog.n_nodes)}
-    if got_h != want_h:
-        problems.append(
-            f"minimal node set mismatch: extra={got_h - want_h!r} "
-            f"missing={want_h - got_h!r}"
-        )
-
-    # the same algorithms must select the same nodes on the full trie
-    for algo in algorithm_names(include_oracle=False):
-        amarks = get_marker(algo)(act)
-        got = {act.node_string(v) for v in range(act.n_nodes) if amarks[v]}
-        if got != want_h:
-            problems.append(
-                f"marks on full trie: {algo} selects wrong set "
-                f"(extra={got - want_h!r} missing={want_h - got!r})"
-            )
-
-    # queries against the quadratic answer, on both structure kinds
-    k = ss.k
-    matrix = [
-        [ov_length(ss.string(i), ss.string(j)) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    for structure in (hog, ehog):
-        engine = QueryEngine(structure)
-        for oi in range(1, ss.orig_count + 1):
-            si = ss.orig_to_sorted[oi]
-            if engine.one_to_all(oi) != matrix[si - 1]:
-                problems.append(f"one_to_all({oi}) wrong on {structure.kind}")
-            for oj in range(1, ss.orig_count + 1):
-                d, s = engine.one_to_one(oi, oj)
-                sj = ss.orig_to_sorted[oj]
-                if d != matrix[si - 1][sj - 1] or s != ss.string(sj)[:d]:
-                    problems.append(f"one_to_one({oi},{oj}) wrong on {structure.kind}")
-            row = matrix[si - 1]
-            for ml in (0, 1, 2, max(row, default=0)):
-                want_idx = [j + 1 for j, d in enumerate(row) if d >= ml]
-                if engine.report(oi, ml) != want_idx:
-                    problems.append(f"report({oi},{ml}) wrong on {structure.kind}")
-                if engine.count(oi, ml) != len(want_idx):
-                    problems.append(f"count({oi},{ml}) wrong on {structure.kind}")
-            for c in (0, 1, k, k + 3):
-                got_top = engine.top(oi, c)
-                want_top = [
-                    j
-                    for j, _ in sorted(
-                        ((j + 1, d) for j, d in enumerate(row)),
-                        key=lambda t: (-t[1], t[0]),
-                    )[: min(c, k)]
-                ]
-                if got_top != want_top:
-                    problems.append(f"top({oi},{c}) wrong on {structure.kind}")
-        if not engine.scratch_is_clean():
-            problems.append(f"query scratch dirty after batch on {structure.kind}")
-    return problems
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = _random.Random(args.seed)
-    fixed: list[list[bytes]] = [
-        [b"a"],
-        [b"aa"],
-        [b"aaaa", b"aaaa"],
-        [b"ab", b"b"],
-        [b"ab", b"ba"],
-        [b"ab", b"abc"],
-        [b"ab", b"zab"],
-        [b"ab", b"abab", b"zaba"],
-        [b"aabaa", b"aadbd", b"dbdaa"],
-        [b"abababab", b"babababa"],
-    ]
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     failures = 0
-    total = 0
-    for idx in range(args.instances):
-        raw = fixed[idx] if idx < len(fixed) else _random_instance(rng)
-        ss = normalize(raw)
-        problems = verify_instance(ss)
-        total += 1
+    for idx, raw in zip(range(args.instances), instances(args.seed)):
+        problems = verify_instance(normalize(raw))
         if problems:
             failures += 1
-            print(f"FAIL instance {idx} ({[bytes(s) for s in raw]!r}):")
-            for msg in problems:
-                print(f"  - {msg}")
+            print(f"FAIL instance {idx} ({raw!r}):")
+            for check, msg in problems:
+                print(f"  - {check}: {msg}")
     if failures:
-        print(f"verify: {failures}/{total} instance(s) FAILED")
+        print(f"verify: {failures}/{args.instances} instance(s) FAILED")
         return 1
-    print(f"verify: {total} instance(s) ok (seed={args.seed})")
+    print(f"verify: {args.instances} instance(s) ok (seed={args.seed})")
     return 0
 
 
@@ -414,7 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
-    p.add_argument("--instances", type=int, default=250)
+    p.add_argument(
+        "--instances",
+        type=int,
+        default=250,
+        help="how many: the fixed cases, then the families, then random sets",
+    )
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
 

@@ -50,7 +50,7 @@ class MarkTimeout(RuntimeError):
     """Raised by a marking algorithm that ran past its cooperative deadline."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FavStructure:
     """Precomputed shortcuts for lazy blackening on one trie.
 

@@ -4,8 +4,9 @@ Verdict lines go straight to the real stdout (bypassing capture) so a full
 run always shows all ten, with the measured numbers and pinned tolerances
 inline.  Each criterion is one test; a failed assertion repeats its line.
 
-The random-instance corpus is generated once per module and shared by the
-equivalence criteria (1, 2, 7, and the containment part of 4).  The large
+The random-instance corpus is generated once per module, run through the
+oracle suite of ``hog.verify`` and shared by the equivalence criteria (1, 2,
+7, and the containment part of 4).  The large
 performance dataset (k=10^4, n=10^6, ACGT, seed 42) comes from session
 fixtures shared with the rest of the suite.
 """
@@ -18,12 +19,6 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from hog.baselines import (
-    algorithm_names,
-    brute_force_ov,
-    get_marker,
-    ov_length,
-)
 from hog.bench import run_marking, sweep
 from hog.cli import main
 from hog.datasets import generate_random, normalize
@@ -31,6 +26,7 @@ from hog.ehog import build_ehog, mark_ehog
 from hog.marking import mark_hog_new
 from hog.queries import QueryEngine
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
+from hog.verify import CHECKS, verify_instance
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 20260814
@@ -66,10 +62,6 @@ def node_strings(t) -> set[bytes]:
     return {t.node_string(v) for v in range(t.n_nodes)}
 
 
-def marked_strings(t, marks) -> set[bytes]:
-    return {t.node_string(v) for v in range(t.n_nodes) if marks[v]}
-
-
 # -- shared random-instance corpus ---------------------------------------------
 
 def corpus_instances(rng: random.Random, count: int):
@@ -94,118 +86,56 @@ def corpus_instances(rng: random.Random, count: int):
 @dataclass
 class CorpusResult:
     instances: int = 0
-    set_failures: list[str] = field(default_factory=list)       # criterion 1
-    vector_failures: list[str] = field(default_factory=list)    # criterion 2
-    containment_failures: list[str] = field(default_factory=list)  # criterion 4
-    query_failures: list[str] = field(default_factory=list)     # criterion 7
-    build_mark_seconds: float = 0.0
-    query_seconds: float = 0.0
-
-
-def check_queries(ss, hog, failures: list[str], tag: str) -> None:
-    k = ss.k
-    matrix = [
-        [ov_length(ss.string(i), ss.string(j)) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    eng = QueryEngine(hog)
-    fingerprint = eng.state_fingerprint()
-    for oi in range(1, ss.orig_count + 1):
-        row = matrix[ss.orig_to_sorted[oi] - 1]
-        if eng.one_to_all(oi) != row:
-            failures.append(f"{tag}: one_to_all({oi})")
-            return
-        for oj in range(1, ss.orig_count + 1):
-            d, s = eng.one_to_one(oi, oj)
-            sj = ss.orig_to_sorted[oj]
-            if d != row[sj - 1] or s != ss.string(sj)[:d]:
-                failures.append(f"{tag}: one_to_one({oi},{oj})")
-                return
-        for lo in (0, 1, 2, max(row, default=0)):
-            want = [j + 1 for j, d in enumerate(row) if d >= lo]
-            if eng.report(oi, lo) != want or eng.count(oi, lo) != len(want):
-                failures.append(f"{tag}: report/count({oi},{lo})")
-                return
-        ranked = sorted(row, reverse=True)
-        for c in (0, 1, k // 2, k, k + 3):
-            got = eng.top(oi, c)
-            vals = [row[j - 1] for j in got]
-            # multiset semantics: the c largest overlap values, rank-ordered
-            if len(set(got)) != len(got) or vals != ranked[: min(c, k)]:
-                failures.append(f"{tag}: top({oi},{c})")
-                return
-    if eng.state_fingerprint() != fingerprint:
-        failures.append(f"{tag}: engine state changed")
+    # failures per verify.CHECKS kind: criterion 1 counts "sets" and
+    # "vectors" (a vector unlike the oracle's marks a wrong set), 2
+    # "vectors", 4 "structure" (audits and containment), 7 "queries"
+    failures: dict[str, list[str]] = field(
+        default_factory=lambda: {check: [] for check in CHECKS}
+    )
+    seconds: float = 0.0
 
 
 @pytest.fixture(scope="module")
 def corpus() -> CorpusResult:
     rng = random.Random(CORPUS_SEED)
     res = CorpusResult()
-    algos = algorithm_names(include_oracle=False)
     for raw in corpus_instances(rng, CORPUS_SIZE):
         res.instances += 1
-        tag = f"instance {res.instances}"
-        ss = normalize(raw)
-
         t0 = time.perf_counter()
-        act = build_act(ss)
-        ehog = contract(act, mark_ehog(act), KIND_EHOG)
-        want = brute_force_ov(ss.strings) | set(ss.strings) | {b""}
-
-        on_ehog = {a: get_marker(a)(ehog) for a in algos}
-        for a in algos:
-            if marked_strings(ehog, on_ehog[a]) != want:
-                res.set_failures.append(f"{tag}: {a} wrong marked set")
-        hog = contract(ehog, on_ehog["new"], KIND_HOG)
-        if node_strings(hog) != want:
-            res.set_failures.append(f"{tag}: contracted node set differs")
-        res.build_mark_seconds += time.perf_counter() - t0
-
-        ref = bytes(on_ehog["new"])
-        for a in algos[1:]:
-            if bytes(on_ehog[a]) != ref:
-                res.vector_failures.append(f"{tag}: {a} differs on extended")
-        on_act = {a: get_marker(a)(act) for a in algos}
-        ref_act = bytes(on_act["new"])
-        for a in algos[1:]:
-            if bytes(on_act[a]) != ref_act:
-                res.vector_failures.append(f"{tag}: {a} differs on full trie")
-        if marked_strings(act, on_act["new"]) != marked_strings(ehog, on_ehog["new"]):
-            res.vector_failures.append(f"{tag}: full-trie run selects other strings")
-
-        if not (node_strings(hog) <= node_strings(ehog) <= node_strings(act)):
-            res.containment_failures.append(tag)
-
-        t0 = time.perf_counter()
-        check_queries(ss, hog, res.query_failures, tag)
-        res.query_seconds += time.perf_counter() - t0
+        problems = verify_instance(normalize(raw))
+        res.seconds += time.perf_counter() - t0
+        for check, msg in problems:
+            res.failures[check].append(f"instance {res.instances}: {msg}")
     return res
+
+
+def first(failures: list[str]) -> str:
+    return f"; first: {failures[0]}" if failures else ""
 
 
 # -- criteria -------------------------------------------------------------------
 
 def test_criterion_1_marked_sets_match_brute_force(corpus, verdict):
-    ok = corpus.instances >= 1000 and not corpus.set_failures
-    elapsed_ok = corpus.build_mark_seconds < 60.0
+    fails = corpus.failures["sets"] + corpus.failures["vectors"]
+    ok = corpus.instances >= 1000 and not fails
+    elapsed_ok = corpus.seconds < 60.0
     verdict(
         1,
         ok and elapsed_ok,
         f"{corpus.instances} instances, 4 algorithms vs brute-force target: "
-        f"{len(corpus.set_failures)} mismatches "
-        f"(build+mark {corpus.build_mark_seconds:.1f}s, limit 60s)"
-        + (f"; first: {corpus.set_failures[0]}" if corpus.set_failures else ""),
+        f"{len(fails)} mismatches (all checks {corpus.seconds:.1f}s, limit 60s)"
+        + first(fails),
     )
 
 
 def test_criterion_2_mark_vectors_bit_identical(corpus, verdict):
+    fails = corpus.failures["vectors"]
     verdict(
         2,
-        not corpus.vector_failures,
+        not fails,
         f"vectors bit-identical across 4 algorithms on extended and full "
-        f"structures, {corpus.instances} instances: "
-        f"{len(corpus.vector_failures)} mismatches"
-        + (f"; first: {corpus.vector_failures[0]}" if corpus.vector_failures else ""),
+        f"structures, {corpus.instances} instances: {len(fails)} mismatches"
+        + first(fails),
     )
 
 
@@ -226,13 +156,13 @@ def test_criterion_3_worked_instance_goldens(verdict):
 def test_criterion_4_containment_and_verify_subcommand(corpus, capsys, verdict):
     rc = main(["verify", "--instances", "40", "--seed", "99"])
     capsys.readouterr()
-    ok = rc == 0 and not corpus.containment_failures
+    fails = corpus.failures["structure"]
     verdict(
         4,
-        ok,
-        f"minimal ⊆ extended ⊆ full as string sets on {corpus.instances} corpus "
-        f"instances ({len(corpus.containment_failures)} violations); verify "
-        f"subcommand exit code {rc}",
+        rc == 0 and not fails,
+        f"minimal ⊆ extended ⊆ full as string sets and structure audits on "
+        f"{corpus.instances} corpus instances ({len(fails)} violations); verify "
+        f"subcommand exit code {rc}" + first(fails),
     )
 
 
@@ -301,13 +231,13 @@ def test_criterion_6_performance_ordering(big_build, verdict):
 
 
 def test_criterion_7_query_oracle_equivalence(corpus, verdict):
+    fails = corpus.failures["queries"]
     verdict(
         7,
-        not corpus.query_failures,
-        f"five query types vs quadratic brute force on {corpus.instances} "
-        f"instances ({corpus.query_seconds:.1f}s): "
-        f"{len(corpus.query_failures)} mismatches"
-        + (f"; first: {corpus.query_failures[0]}" if corpus.query_failures else ""),
+        not fails,
+        f"five query types vs quadratic brute force on both contracted "
+        f"structures, {corpus.instances} instances: {len(fails)} mismatches"
+        + first(fails),
     )
 
 

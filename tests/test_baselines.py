@@ -97,7 +97,7 @@ def test_suffix_lists_reject_hog():
 def test_cover_tree_counts_and_rollback():
     tree = IntervalCoverTree(10)
     assert tree.uncovered(1, 10) == 10
-    baseline = tree.state_hash()
+    baseline = bytes(tree.uncov)
     mark = tree.checkpoint()
     tree.cover(3, 7)
     assert tree.uncovered(1, 10) == 5
@@ -107,7 +107,7 @@ def test_cover_tree_counts_and_rollback():
     assert tree.uncovered(1, 10) == 3
     tree.rollback(mark)
     assert tree.uncovered(1, 10) == 10
-    assert tree.state_hash() == baseline
+    assert bytes(tree.uncov) == baseline
 
 
 def test_cover_tree_nested_checkpoints():
@@ -160,9 +160,20 @@ def test_all_markers_agree_with_oracle(raw):
     assert bytes(mark_hog_khan(e)) == want
 
 
-def test_parkcpr_reset_invariant():
+def test_parkcpr_reset_invariant(monkeypatch):
+    # every string's covers must be rolled back before the next string
     e = ehog_of([b"abab", b"bab", b"ba", b"abba"])
-    mark_hog_parkcpr(e, check_reset=True)
+    clean = bytes(IntervalCoverTree(e.k).uncov)
+    rollback = IntervalCoverTree.rollback
+    resets = []
+
+    def checked_rollback(tree, mark):
+        rollback(tree, mark)
+        resets.append(bytes(tree.uncov) == clean)
+
+    monkeypatch.setattr(IntervalCoverTree, "rollback", checked_rollback)
+    assert bytes(mark_hog_parkcpr(e)) == bytes(mark_hog_oracle(e))
+    assert resets == [True] * e.k
 
 
 def test_baseline_deadlines_abort():

@@ -1,9 +1,13 @@
 """Benchmark plumbing and the command-line surface."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hog
 import hog.baselines as baselines
 from hog.baselines import mark_hog_oracle
 from hog.bench import (
@@ -80,16 +84,27 @@ def test_measure_peak_memory_is_deterministic():
 
 def test_marking_peaks_reproduce_across_identical_builds():
     ss = generate_random(50, 1500, b"ACGT", seed=3)
-    # CPython sizes each new instance's attribute storage one slot smaller
-    # than the last until it fits the class (about 30 instances), so the
-    # traced peak shrinks over the first runs of a fresh interpreter.  Warm
-    # the tracer and that state here, so that the test does not depend on
-    # what ran before it.
-    for _ in range(40):
-        run_marking(build_ehog(ss).trie, "new", reps=1)
+    run_marking(build_ehog(ss).trie, "new", reps=1)  # tracer warm-up
     second = run_marking(build_ehog(ss).trie, "new", reps=1)
     third = run_marking(build_ehog(ss).trie, "new", reps=1)
     assert second.peak_alloc == third.peak_alloc
+
+
+def test_marking_peaks_do_not_depend_on_call_history():
+    # in a fresh interpreter no earlier FavStructure has shaped the next one
+    code = (
+        "from hog.bench import run_marking\n"
+        "from hog.datasets import generate_random\n"
+        "from hog.ehog import build_ehog\n"
+        "t = build_ehog(generate_random(50, 1500, b'ACGT', seed=3)).trie\n"
+        "for _ in range(16): print(run_marking(t, 'new', reps=1).peak_alloc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hog.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert len(out) == 16 and out[0] == out[-1], out
 
 
 def test_run_marking_timeout(monkeypatch):
@@ -267,6 +282,14 @@ def test_cli_dataset_flag_conflicts(tmp_path, capsys):
 def test_cli_verify_smoke(capsys):
     assert main(["verify", "--instances", "12", "--seed", "1"]) == 0
     assert "12 instance(s) ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_cli_verify_rejects_checking_nothing(capsys, count):
+    assert main(["verify", "--instances", count]) == 1
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert captured.err.startswith("error: --instances must be at least 1")
 
 
 def test_cli_build_restricts_algorithm_choices():

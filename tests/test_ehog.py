@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from hog.cli import _brute_ehog_strings
 from hog.datasets import normalize
 from hog.ehog import build_ehog, mark_ehog
 from hog.trie import KIND_EHOG, build_act, contract, verify_structure
+from hog.verify import brute_ehog_strings
 
 string_sets = st.lists(
     st.text(alphabet="abd", min_size=1, max_size=9).map(str.encode),
@@ -56,5 +56,5 @@ def test_node_set_matches_independent_oracle(raw):
     assert counters["suffix_hops"] <= ss.k + act.n_nodes
     e = contract(act, marks, KIND_EHOG)
     got = {e.node_string(v) for v in range(e.n_nodes)}
-    assert got == _brute_ehog_strings(ss.strings)
+    assert got == brute_ehog_strings(ss.strings)
     assert verify_structure(e) == []

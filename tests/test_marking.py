@@ -8,7 +8,8 @@ from hog.datasets import normalize
 from hog.ehog import mark_ehog
 from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
-from test_trie import ACT_FAMILIES, sampled_reads
+from hog.verify import FAMILIES
+from test_trie import sampled_reads
 
 string_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=10).map(str.encode),
@@ -157,9 +158,9 @@ def assert_marks_match_oracle(raw):
         assert bytes(mark_hog_new(t)) == bytes(mark_hog_oracle(t))
 
 
-@pytest.mark.parametrize("family", sorted(ACT_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_families_match_oracle_on_full_and_extended(family):
-    assert_marks_match_oracle(ACT_FAMILIES[family])
+    assert_marks_match_oracle(FAMILIES[family])
 
 
 @given(sampled_reads())

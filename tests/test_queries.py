@@ -1,16 +1,15 @@
 """Query engine: the five operations against brute force, plus batch I/O."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hog.baselines import mark_hog_oracle, ov_length
+from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
 from hog.ehog import mark_ehog
 from hog.marking import mark_hog_new
 from hog.queries import QueryEngine, parse_batch, run_batch
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
+from hog.verify import FAMILIES, check_queries
 
 string_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=9).map(str.encode),
@@ -133,60 +132,7 @@ def test_scratch_unwinds_after_every_operation():
 @settings(max_examples=150, deadline=None)
 def test_all_ops_match_brute_force_on_both_structures(raw):
     # inputs are original (pre-dedup) indices; answers are in sorted space
-    ss = normalize(raw)
-    k = ss.k
-    matrix = [
-        [ov_length(ss.string(i), ss.string(j)) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    e, h = structures_of(raw)
-    for structure in (h, e):
-        eng = QueryEngine(structure)
-        for oi in range(1, ss.orig_count + 1):
-            row = matrix[ss.orig_to_sorted[oi] - 1]
-            assert eng.one_to_all(oi) == row
-            for oj in range(1, ss.orig_count + 1):
-                sj = ss.orig_to_sorted[oj]
-                d, s = eng.one_to_one(oi, oj)
-                assert d == row[sj - 1]
-                assert s == ss.string(sj)[:d]
-            for lo in (0, 1, max(row, default=0)):
-                want = [j + 1 for j, d in enumerate(row) if d >= lo]
-                assert eng.report(oi, lo) == want
-                assert eng.count(oi, lo) == len(want)
-            got = eng.top(oi, k)
-            vals = [row[j - 1] for j in got]
-            assert vals == sorted(row, reverse=True)  # rank order, all k
-            assert sorted(got) == list(range(1, k + 1))
-        assert eng.scratch_is_clean()
-
-
-def _fibonacci_word(n):
-    a, b = b"a", b"ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
-def _random_bytes(seed, k):
-    rng = random.Random(seed)
-    pool = [0x00, 0xFF, rng.randrange(1, 255)]  # a tiny pool, so pairs overlap
-    return [
-        bytes(rng.choice(pool) if p else rng.randrange(256) for _ in range(rng.randint(1, 12)))
-        for p in (rng.random() < 0.8 for _ in range(k))
-    ]
-
-
-FAMILIES = {
-    "unary": [b"a" * i for i in range(1, 41)],
-    "ab-periodic": [b"ab" * i for i in range(1, 21)],
-    "aab-periodic": [b"aab" * i for i in range(1, 14)],
-    "fibonacci-prefixes": [_fibonacci_word(n) for n in range(1, 41)],
-    "nested-prefixes": [bytes(range(65, 65 + m)) for m in range(1, 41)],
-    "duplicated": [b"ab", b"aba", b"ab", b"ba", b"bab", b"aba", b"b", b"b"],
-    "bytes-0-255-a": _random_bytes(1, 40),
-    "bytes-0-255-b": _random_bytes(2, 40),
-}
+    assert check_queries(normalize(raw), *structures_of(raw)) == []
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -194,27 +140,7 @@ def test_all_ops_match_brute_force_on_families(family):
     # nested intervals, whole strings inside other strings' intervals and
     # own-string exclusions at every depth, on both structure kinds
     raw = FAMILIES[family]
-    ss = normalize(raw)
-    k = ss.k
-    matrix = [
-        [ov_length(ss.string(i), ss.string(j)) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    for structure in structures_of(raw):
-        eng = QueryEngine(structure)
-        for oi in range(1, ss.orig_count + 1):
-            row = matrix[ss.orig_to_sorted[oi] - 1]
-            assert eng.one_to_all(oi) == row
-            for oj in range(1, ss.orig_count + 1):
-                sj = ss.orig_to_sorted[oj]
-                assert eng.one_to_one(oi, oj) == (row[sj - 1], ss.string(sj)[:row[sj - 1]])
-            for lo in range(max(row) + 2):  # every threshold, one past max
-                want = [j + 1 for j, d in enumerate(row) if d >= lo]
-                assert eng.report(oi, lo) == want
-                assert eng.count(oi, lo) == len(want)
-            ranked = sorted(range(1, k + 1), key=lambda j: (-row[j - 1], j))
-            for c in range(k + 4):  # the cap can fall inside a node's pieces
-                assert eng.top(oi, c) == ranked[:c]
+    assert check_queries(normalize(raw), *structures_of(raw)) == []
 
 
 def test_unary_closed_form_at_scale():

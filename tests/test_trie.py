@@ -21,6 +21,7 @@ from hog.trie import (
     to_text,
     verify_structure,
 )
+from hog.verify import FAMILIES
 
 FIG1_ACT_STRINGS = {
     b"", b"a", b"aa", b"aab", b"aaba", b"aabaa",
@@ -108,28 +109,9 @@ def test_act_size_bound_and_audit(raw):
     assert node_strings(act) == {p[:i] for p in ss.strings for i in range(len(p) + 1)}
 
 
-def fibonacci_word(length):
-    a, b = b"a", b"ab"
-    while len(b) < length:
-        a, b = b, b + a
-    return b[:length]
-
-
-ACT_FAMILIES = {
-    "unary": [b"a" * i for i in range(1, 41)],
-    "periodic-ab": [b"ab" * i for i in range(1, 16)],
-    "periodic-aab": [b"aab" * i for i in range(1, 12)],
-    "fibonacci-prefixes": [fibonacci_word(i) for i in range(1, 41)],
-    "single": [b"abracadabra"],
-    "nested-prefixes": [b"a", b"ab", b"abc"],
-    "full-bytes": [bytes((b + i) % 256 for i in range(6)) for b in range(256)]
-    + [b"\x00", b"\xff\xff", bytes(range(256))],
-}
-
-
-@pytest.mark.parametrize("family", sorted(ACT_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_act_families_audit_and_mark(family):
-    ss = normalize(ACT_FAMILIES[family])
+    ss = normalize(FAMILIES[family])
     act = build_act(ss)
     assert verify_structure(act) == []  # includes the interval recomputation
     assert node_strings(act) == {p[:i] for p in ss.strings for i in range(len(p) + 1)}
