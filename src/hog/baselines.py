@@ -20,21 +20,26 @@ producing bit-identical mark vectors on the same trie:
 ``oracle`` marks nodes by literal string comparison against the quadratic
 brute-force overlap set — tiny inputs only, used for verification.
 
-All markers share the signature ``f(trie, counters=None, deadline=None,
-**extras)`` and are reachable through :data:`MARKERS` / :func:`get_marker`.
+All five markers, ``new`` included, share one contract: ``f(t,
+counters=None, deadline=None)`` returns ``t``'s mark vector, writes the
+marker's work counters into ``counters`` when given, and raises
+:class:`~hog.marking.MarkTimeout` once ``time.monotonic()`` has passed
+``deadline``.  Each checks the deadline at one point of its outer loop: after
+each string (``new``, ``parkcpr``, ``cazaux``), at each whole-string node
+(``khan``) and at each node (``oracle``), so a marker can overrun its
+deadline by one string's work.  The one extra is ``new``'s ``fav=``, a
+precomputed :class:`~hog.marking.FavStructure`.  :data:`MARKERS` lists them
+in canonical order; :func:`get_marker` looks one up by name.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .marking import MarkTimeout, mark_hog_new
 from .trie import MarkVector, OverlapTrie
-
-_DEADLINE_STRIDE = 16384  # marker ops between cooperative deadline checks
 
 
 def ov_length(p: bytes, q: bytes) -> int:
@@ -75,45 +80,34 @@ def mark_hog_oracle(
     for v in range(1, t.n_nodes):
         if string_of[v] != -1 or t.node_string(v) in targets:
             marks[v] = 1
-        if deadline is not None and v % _DEADLINE_STRIDE == 0:
-            if time.monotonic() > deadline:
-                raise MarkTimeout(f"oracle marking passed its deadline at node {v}")
+        if deadline is not None and time.monotonic() > deadline:
+            raise MarkTimeout(f"oracle marking passed its deadline at node {v}")
     return marks
 
 
-@dataclass(frozen=True)
-class SuffixLists:
+def build_suffix_lists(t: OverlapTrie) -> list[list[int]]:
     """Per-node lists of string ids: ``lists[v]`` holds every ``i`` such
-    that node ``v``'s path string is a *proper* suffix of string ``i``.
-    The root is excluded.  ``total`` is Σ|lists[v]|."""
-
-    lists: list[list[int]]
-    total: int
-
-
-def build_suffix_lists(t: OverlapTrie) -> SuffixLists:
-    """Walk each string's suffix-link path, recording the string id at every
-    node strictly between the string's own node and the root."""
+    that node ``v``'s path string is a *proper* suffix of string ``i``; the
+    root's list is empty.  Built by walking each string's suffix-link path,
+    recording the string id at every node strictly between the string's own
+    node and the root."""
     if t.kind not in ("act", "ehog"):
         raise ValueError(f"suffix lists are built on act/ehog structures, got {t.kind!r}")
     lists: list[list[int]] = [[] for _ in range(t.n_nodes)]
     sl = t.suffix_link
     leaf_of = t.leaf_of
-    total = 0
     for i in range(1, t.k + 1):
         v = sl[leaf_of[i]]
         while v:
             lists[v].append(i)
-            total += 1
             v = sl[v]
-    return SuffixLists(lists=lists, total=total)
+    return lists
 
 
 def mark_hog_cazaux(
     t: OverlapTrie,
     counters: dict[str, int] | None = None,
     deadline: float | None = None,
-    suffix_lists: SuffixLists | None = None,
 ) -> MarkVector:
     """Suffix-list ancestor scan with a per-string timestamp "found" array.
 
@@ -125,9 +119,7 @@ def mark_hog_cazaux(
     node *is* that node are consumed there (the node is a whole string, so
     the mark itself is redundant but harmless).
     """
-    if suffix_lists is None:
-        suffix_lists = build_suffix_lists(t)
-    lists = suffix_lists.lists
+    lists = build_suffix_lists(t)
     n = t.n_nodes
     k = t.k
     marks = bytearray(n)
@@ -136,7 +128,6 @@ def mark_hog_cazaux(
     leaf_of = t.leaf_of
     found = array("i", bytes(4 * (k + 1)))  # last pass j that consumed id i
     ops = 0
-    next_check = _DEADLINE_STRIDE
     for j in range(1, k + 1):
         u = leaf_of[j]
         marks[u] = 1
@@ -150,15 +141,11 @@ def mark_hog_cazaux(
             if fresh:
                 marks[u] = 1
             u = parent[u]
-            if deadline is not None and ops >= next_check:
-                next_check = ops + _DEADLINE_STRIDE
-                if time.monotonic() > deadline:
-                    raise MarkTimeout(
-                        f"suffix-list scan passed its deadline at string {j}/{k}"
-                    )
+        if deadline is not None and time.monotonic() > deadline:
+            raise MarkTimeout(f"suffix-list scan passed its deadline at string {j}/{k}")
     if counters is not None:
         counters["scan_ops"] = ops
-        counters["suffix_list_total"] = suffix_lists.total
+        counters["suffix_list_total"] = sum(map(len, lists))
     return marks
 
 
@@ -289,7 +276,6 @@ def mark_hog_khan(
     t: OverlapTrie,
     counters: dict[str, int] | None = None,
     deadline: float | None = None,
-    suffix_lists: SuffixLists | None = None,
 ) -> MarkVector:
     """Euler-tour marking with per-string-id stacks of live list nodes.
 
@@ -297,13 +283,15 @@ def mark_hog_khan(
     (deactivating that id's previous top); leaving reverses this.  A node is
     "active" while it is some id's stack top, i.e. the deepest node on the
     current root path whose path string is a proper suffix of that id's
-    string.  At each whole-string node, an upward scan over strict ancestors
+    string.  At each whole-string node, a scan over its strict ancestors
     marks the active ones — each is the maximal overlap for the pairs whose
     ids it currently tops.
+
+    Ids are in pre-order, so the tour is one pass over ``0..n-1``: before
+    entering a node, the open nodes are left until the top of the root path
+    is the node's parent.
     """
-    if suffix_lists is None:
-        suffix_lists = build_suffix_lists(t)
-    lists = suffix_lists.lists
+    lists = build_suffix_lists(t)
     n = t.n_nodes
     k = t.k
     marks = bytearray(n)
@@ -312,20 +300,18 @@ def mark_hog_khan(
     string_of = t.string_of
     active = array("i", bytes(4 * n))
     tops: list[list[int]] = [[] for _ in range(k + 1)]
-    stack: list[tuple[int, bool]] = [(0, False)]
+    path = [0]  # the open nodes; the root's suffix list is empty
     scans = 0
-    next_check = _DEADLINE_STRIDE
-    while stack:
-        u, leaving = stack.pop()
-        if leaving:
-            for i in reversed(lists[u]):
+    for u in range(1, n):
+        p = parent[u]
+        while path[-1] != p:
+            w = path.pop()
+            for i in reversed(lists[w]):
                 st = tops[i]
                 st.pop()
-                active[u] -= 1
+                active[w] -= 1
                 if st:
                     active[st[-1]] += 1
-            continue
-        stack.append((u, True))
         for i in lists[u]:
             st = tops[i]
             if st:
@@ -334,22 +320,13 @@ def mark_hog_khan(
             active[u] += 1
         if string_of[u] != -1:
             marks[u] = 1
-            a = parent[u]
-            while a > 0:
+            for a in path:  # the root is never active, and is marked anyway
                 if active[a]:
                     marks[a] = 1
-                a = parent[a]
-                scans += 1
-            if deadline is not None and scans >= next_check:
-                next_check = scans + _DEADLINE_STRIDE
-                if time.monotonic() > deadline:
-                    raise MarkTimeout(
-                        f"euler-tour marking passed its deadline at node {u}"
-                    )
-        c = t.first_child[u]
-        while c != -1:
-            stack.append((c, False))
-            c = t.next_sibling[c]
+            scans += len(path) - 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise MarkTimeout(f"euler-tour marking passed its deadline at node {u}")
+        path.append(u)
     if counters is not None:
         counters["ancestor_scans"] = scans
     return marks
@@ -357,11 +334,12 @@ def mark_hog_khan(
 
 MarkFn = Callable[..., MarkVector]
 
+#: every marker by name, in canonical order (the oracle last)
 MARKERS: dict[str, MarkFn] = {
-    "cazaux": mark_hog_cazaux,
-    "parkcpr": mark_hog_parkcpr,
-    "khan": mark_hog_khan,
     "new": mark_hog_new,
+    "khan": mark_hog_khan,
+    "parkcpr": mark_hog_parkcpr,
+    "cazaux": mark_hog_cazaux,
     "oracle": mark_hog_oracle,
 }
 
@@ -376,7 +354,4 @@ def get_marker(name: str) -> MarkFn:
 
 def algorithm_names(include_oracle: bool = True) -> list[str]:
     """Registry names in canonical order."""
-    names = ["new", "khan", "parkcpr", "cazaux"]
-    if include_oracle:
-        names.append("oracle")
-    return names
+    return [name for name in MARKERS if include_oracle or name != "oracle"]

@@ -98,15 +98,13 @@ def cmd_build(args: argparse.Namespace) -> int:
         ss, [args.algo], reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
     )
     print(render_report(report, args.reps))
-    run = report.runs[0]
-    if run.marks is not None:
-        hog = contract(report.build.trie, run.marks, KIND_HOG)
-        if args.serialize:
-            with open(args.serialize, "w", encoding="ascii") as fh:
-                fh.write(to_text(hog))
-            print(f"  serialized minimal structure -> {args.serialize}")
-    elif args.serialize:
-        raise BenchError("nothing to serialize: the marking pass timed out")
+    if args.serialize:
+        marks = report.runs[0].marks
+        if marks is None:
+            raise BenchError("nothing to serialize: the marking pass timed out")
+        with open(args.serialize, "w", encoding="ascii") as fh:
+            fh.write(to_text(contract(report.build.trie, marks, KIND_HOG)))
+        print(f"  serialized minimal structure -> {args.serialize}")
     if args.csv:
         write_csv(report.rows, args.csv)
         print(f"  wrote {len(report.rows)} row(s) -> {args.csv}")
@@ -158,10 +156,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     ss, name, _ = _load_dataset(args)
-    build = build_ehog(ss)
-    marker = get_marker(args.algo)
-    marks = marker(build.trie)
-    structure = build.trie if args.engine == "ehog" else contract(build.trie, marks, KIND_HOG)
+    structure = build_ehog(ss).trie
+    if args.engine == KIND_HOG:
+        structure = contract(structure, get_marker(args.algo)(structure), KIND_HOG)
     engine = QueryEngine(structure)
     if args.batch == "-":
         text = sys.stdin.read()

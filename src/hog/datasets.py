@@ -68,17 +68,10 @@ class StringSet:
     orig_to_sorted : tuple[int, ...]
         1-based map from pre-deduplication input position to sorted index.
         Duplicated inputs map to the same sorted index.  Entry 0 is unused.
-    sorted_to_orig : tuple[int, ...]
-        1-based map from sorted index to the first input position holding
-        that string.  Entry 0 is unused.
-    alphabet : bytes
-        Sorted distinct bytes occurring across all strings.
     """
 
     strings: tuple[bytes, ...]
     orig_to_sorted: tuple[int, ...]
-    sorted_to_orig: tuple[int, ...]
-    alphabet: bytes
     k: int = field(init=False)
     n: int = field(init=False)
 
@@ -111,16 +104,9 @@ def normalize(raw: list[bytes]) -> StringSet:
             raise ValueError(f"empty string at input position {pos}")
     ordered = sorted(set(raw))
     rank = {s: j for j, s in enumerate(ordered, 1)}
-    orig_to_sorted = [0] + [rank[s] for s in raw]
-    sorted_to_orig = [0] * (len(ordered) + 1)
-    for pos in range(len(raw), 0, -1):
-        sorted_to_orig[orig_to_sorted[pos]] = pos
-    alphabet = bytes(sorted(set(b"".join(ordered))))
     return StringSet(
         strings=tuple(ordered),
-        orig_to_sorted=tuple(orig_to_sorted),
-        sorted_to_orig=tuple(sorted_to_orig),
-        alphabet=alphabet,
+        orig_to_sorted=(0, *map(rank.__getitem__, raw)),
     )
 
 

@@ -20,17 +20,14 @@ from .trie import KIND_EHOG, MarkVector, OverlapTrie, build_act, contract
 def mark_ehog(act: OverlapTrie, counters: dict[str, int] | None = None) -> MarkVector:
     """Mark the root, whole strings, and all suffix-path nodes of ``act``.
 
-    Every path short-circuits at the first already-visited node — mandatory,
-    since without it the total walk length is quadratic on inputs like k
-    copies of a highly periodic string.  With it, each node is visited at
-    most once, so the hop count is bounded by (number of strings + number of
-    nodes).
+    A marked node's whole suffix path is already marked, so every path
+    short-circuits at the first marked node — mandatory, since without it
+    the total walk length is quadratic on inputs like k copies of a highly
+    periodic string.  With it, each node is marked by at most one hop, so
+    the hop count is bounded by (number of strings + number of nodes).
     """
-    n = act.n_nodes
-    marks = bytearray(n)
-    visited = bytearray(n)
+    marks = bytearray(act.n_nodes)
     marks[0] = 1
-    visited[0] = 1
     sl = act.suffix_link
     leaf_of = act.leaf_of
     hops = 0
@@ -39,8 +36,7 @@ def mark_ehog(act: OverlapTrie, counters: dict[str, int] | None = None) -> MarkV
         marks[x] = 1
         v = sl[x]
         hops += 1
-        while not visited[v]:
-            visited[v] = 1
+        while not marks[v]:
             marks[v] = 1
             v = sl[v]
             hops += 1

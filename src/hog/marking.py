@@ -66,7 +66,7 @@ class FavStructure:
 
 
 def precompute_fav(t: OverlapTrie) -> FavStructure:
-    """Build :class:`FavStructure` for ``t`` in three linear sweeps.
+    """Build :class:`FavStructure` for ``t`` in four linear sweeps.
 
     A node is *favoured* when it has ≥ 2 children or is a whole string
     (leaves are whole strings, so every chain bottoms out at a favoured
@@ -93,12 +93,12 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
         elif child_cnt[v] >= 2:
             favoured[v] = 1
 
-    first_child = t.first_child
     fav_desc = array("i", bytes(4 * n))
     for v in range(n - 1, -1, -1):
         # non-favoured nodes have exactly one child (0 children implies a
-        # leaf, and leaves are whole strings, hence favoured)
-        fav_desc[v] = v if favoured[v] else fav_desc[first_child[v]]
+        # leaf, and leaves are whole strings, hence favoured), and in
+        # pre-order that child is v + 1
+        fav_desc[v] = v if favoured[v] else fav_desc[v + 1]
 
     fav_panc = array("i", bytes(4 * n))
     for v in range(1, n):

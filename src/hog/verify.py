@@ -173,9 +173,11 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     Returns one ``(check, message)`` pair per failure, ``check`` one of
     :data:`CHECKS`: ``structure`` (audits of the full, extended and minimal
     graphs, and minimal ⊆ extended ⊆ full as string sets), ``sets`` (node
-    and marked sets against their oracles), ``vectors`` (a marker differs
-    from the oracle on the full trie or the extended graph) or ``queries``
-    (:func:`check_queries` on the minimal and the extended graph).
+    and marked sets against their oracles), ``vectors`` (one of the four
+    markers differs, on the full trie or the extended graph, from the
+    oracle's vector: the nodes whose strings are in the brute-force target
+    set) or ``queries`` (:func:`check_queries` on the minimal and the
+    extended graph).
     """
     problems: list[tuple[str, str]] = []
     strings = ss.strings
@@ -184,9 +186,9 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     act = build_act(ss)
     ehog = contract(act, mark_ehog(act), KIND_EHOG)
     for t in (act, ehog):
-        vectors = {algo: bytes(get_marker(algo)(t)) for algo in algorithm_names()}
-        ref = vectors["oracle"]
-        for algo, vec in vectors.items():
+        ref = bytes(t.node_string(v) in want_h for v in range(t.n_nodes))
+        for algo in algorithm_names(include_oracle=False):
+            vec = bytes(get_marker(algo)(t))
             if vec != ref:
                 v = next(v for v in range(t.n_nodes) if vec[v] != ref[v])
                 problems.append((

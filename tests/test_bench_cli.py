@@ -256,6 +256,23 @@ def test_cli_query_batch(tmp_path, capsys):
     assert any("median=" in ln and "ms" in ln for ln in lines)
 
 
+def test_cli_query_engines_print_the_same_answers(tmp_path, capsys):
+    # fig. 1's extended graph has two nodes that its minimal graph drops
+    inp = fig1_file(tmp_path)
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(
+        f"O {i} {j}\nA {i}\nR {i} {j - 1}\nC {i} {j - 1}\nT {i} {j}\n"
+        for i in (1, 2, 3) for j in (1, 2, 3)
+    ))
+    answers = {}
+    for engine in ("hog", "ehog"):
+        assert main(["query", "--input", inp, "--batch", str(batch), "--engine", engine]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        answers[engine] = [ln for ln in lines if not ln.startswith("#")]
+    assert len(answers["hog"]) == 45
+    assert answers["ehog"] == answers["hog"]
+
+
 def test_cli_query_rejects_bad_batch(tmp_path, capsys):
     inp = fig1_file(tmp_path)
     batch = tmp_path / "batch.txt"

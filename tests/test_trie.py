@@ -62,7 +62,7 @@ def test_act_single_string():
 
 
 def test_act_rejects_empty_string_set():
-    empty = StringSet(strings=(), orig_to_sorted=(0,), sorted_to_orig=(0,), alphabet=b"")
+    empty = StringSet(strings=(), orig_to_sorted=(0,))
     with pytest.raises(ValueError):
         build_act(empty)
 
