@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
 from hog.ehog import mark_ehog
-from hog.marking import mark_hog_new, precompute_fav
+from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
 from hog.verify import FAMILIES
 from test_trie import sampled_reads
@@ -188,3 +188,10 @@ def test_fav_structure_is_reusable_across_runs():
     first = mark_hog_new(e, fav=fav)
     second = mark_hog_new(e, fav=fav)
     assert bytes(first) == bytes(second)
+
+
+def test_deadline_aborts():
+    # mark_hog_new checks the deadline after each string
+    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    with pytest.raises(MarkTimeout):
+        mark_hog_new(e, deadline=0.0)
