@@ -352,6 +352,6 @@ def get_marker(name: str) -> MarkFn:
         raise ValueError(f"unknown algorithm {name!r} (valid: {valid})") from None
 
 
-def algorithm_names(include_oracle: bool = True) -> list[str]:
-    """Registry names in canonical order."""
-    return [name for name in MARKERS if include_oracle or name != "oracle"]
+def algorithm_names() -> list[str]:
+    """The four real markers' names in canonical order (no oracle)."""
+    return [name for name in MARKERS if name != "oracle"]

@@ -15,6 +15,7 @@ repeatable).  The CSV schema is frozen as :data:`CSV_HEADER`.
 
 from __future__ import annotations
 
+import csv
 import gc
 import statistics
 import time
@@ -107,16 +108,6 @@ def run_marking(
     return run
 
 
-def first_mark_mismatch(a: MarkVector, b: MarkVector) -> int:
-    """Index of the first differing flag (-1 when identical)."""
-    if bytes(a) == bytes(b):
-        return -1
-    for v in range(min(len(a), len(b))):
-        if a[v] != b[v]:
-            return v
-    return min(len(a), len(b))
-
-
 @dataclass
 class BenchRow:
     """One CSV row: one (dataset point, algorithm) pair."""
@@ -136,23 +127,20 @@ class BenchRow:
     seed: int | None
     rep: int
 
-    def csv_line(self) -> str:
-        def opt(x: int | None) -> str:
-            return "" if x is None else str(x)
-
-        return (
-            f"{self.dataset},{self.k},{self.n},{self.nodes_act},{self.nodes_ehog},"
-            f"{self.nodes_hog},{self.t_ehog_s:.6f},{self.algo},{self.t_mark_s:.6f},"
-            f"{self.peak_bytes},{opt(self.suffix_hops)},{opt(self.count_updates)},"
-            f"{opt(self.seed)},{self.rep}"
-        )
+    def csv_fields(self) -> list[object]:
+        """The row's values in :data:`CSV_HEADER` order (``None`` is written empty)."""
+        return [
+            self.dataset, self.k, self.n, self.nodes_act, self.nodes_ehog,
+            self.nodes_hog, f"{self.t_ehog_s:.6f}", self.algo, f"{self.t_mark_s:.6f}",
+            self.peak_bytes, self.suffix_hops, self.count_updates, self.seed, self.rep,
+        ]
 
 
 def write_csv(rows: list[BenchRow], path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """Write the header and ``rows``; a field holding a comma or quote is quoted."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_line() + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(row.csv_fields() for row in rows)
 
 
 @dataclass
@@ -193,8 +181,8 @@ def bench_point(
         if reference is None:
             reference = run
             continue
-        v = first_mark_mismatch(reference.marks, run.marks)
-        if v != -1:
+        if run.marks != reference.marks:
+            v = next(v for v in range(trie.n_nodes) if run.marks[v] != reference.marks[v])
             raise BenchError(
                 f"mark vectors differ: {reference.algo} vs {run.algo} first "
                 f"disagree at node {v} (path string {trie.node_string(v)!r}, "

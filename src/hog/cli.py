@@ -25,6 +25,7 @@ from .bench import (
 )
 from .datasets import StringSet, generate_random, load_fasta, load_lines, normalize
 from .ehog import build_ehog
+from .marking import mark_hog_new
 from .queries import QueryEngine, parse_batch, run_batch
 from .trie import KIND_EHOG, KIND_HOG, contract, to_text
 from .verify import instances, verify_instance
@@ -78,14 +79,14 @@ def _load_dataset(args: argparse.Namespace) -> tuple[StringSet, str, int | None]
     raise ValueError("no dataset given: use --input PATH or --random K N")
 
 
-def _parse_algos(spec: str, allow_oracle: bool = True) -> list[str]:
+def _parse_algos(spec: str) -> list[str]:
     names = [a.strip() for a in spec.split(",") if a.strip()]
     if not names:
         raise ValueError("empty algorithm list")
-    for a in names:
+    for i, a in enumerate(names):
         get_marker(a)  # raises on unknown names
-        if a == "oracle" and not allow_oracle:
-            raise ValueError("the oracle is not available for this command")
+        if a in names[:i]:
+            raise ValueError(f"algorithm {a!r} is listed twice")
     return names
 
 
@@ -158,7 +159,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     ss, name, _ = _load_dataset(args)
     structure = build_ehog(ss).trie
     if args.engine == KIND_HOG:
-        structure = contract(structure, get_marker(args.algo)(structure), KIND_HOG)
+        structure = contract(structure, mark_hog_new(structure), KIND_HOG)
     engine = QueryEngine(structure)
     if args.batch == "-":
         text = sys.stdin.read()
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build structures with one algorithm")
     _add_dataset_args(p)
-    p.add_argument("--algo", choices=algorithm_names(include_oracle=False), default="new")
+    p.add_argument("--algo", choices=algorithm_names(), default="new")
     p.add_argument("--reps", type=int, default=3, help="timed repetitions (default 3)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--csv", metavar="PATH", help="write measurement rows")
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument(
         "--algos",
-        default=",".join(algorithm_names(include_oracle=False)),
+        default=",".join(algorithm_names()),
         help="comma-separated algorithm list (default: all four)",
     )
     p.add_argument("--reps", type=int, default=3)
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--batch", required=True, metavar="PATH", help="'-' reads stdin")
     p.add_argument("--engine", choices=(KIND_HOG, KIND_EHOG), default=KIND_HOG)
-    p.add_argument("--algo", choices=sorted(set(algorithm_names())), default="new")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")

@@ -206,11 +206,3 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
         seen.add(s)
         raw.append(s)
     return normalize(raw)
-
-
-def dump_lines(ss: StringSet, path: str | os.PathLike[str]) -> None:
-    """Write the sorted strings one per line (LF), mirroring ``load_lines``."""
-    with open(path, "wb") as fh:
-        for s in ss.strings:
-            fh.write(s)
-            fh.write(b"\n")

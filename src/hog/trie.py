@@ -32,6 +32,7 @@ independently, for ``verify_structure``'s audit.
 Public API
 ----------
 OverlapTrie        container with navigation helpers
+COLUMNS            names of its per-node ``array('i')`` columns
 build_act          sorted strings -> ``act`` trie, intervals included
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
@@ -44,6 +45,7 @@ A ``MarkVector`` is a plain ``bytearray`` with one 0/1 flag per node id.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass, fields, replace
 from itertools import chain, compress, islice
 from typing import Iterator
 
@@ -58,6 +60,7 @@ KIND_HOG = "hog"
 _INT_MAX = 2**31 - 1
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class OverlapTrie:
     """A trie over a :class:`StringSet` with suffix links and leaf intervals.
 
@@ -84,48 +87,18 @@ class OverlapTrie:
       input string is a prefix of another); entry 0 is unused.
     """
 
-    __slots__ = (
-        "kind",
-        "strings",
-        "parent",
-        "depth",
-        "suffix_link",
-        "first_child",
-        "next_sibling",
-        "edge_byte",
-        "string_of",
-        "start",
-        "end",
-        "leaf_of",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        strings: StringSet,
-        parent: array,
-        depth: array,
-        suffix_link: array,
-        first_child: array,
-        next_sibling: array,
-        edge_byte: array,
-        string_of: array,
-        start: array,
-        end: array,
-        leaf_of: array,
-    ) -> None:
-        self.kind = kind
-        self.strings = strings
-        self.parent = parent
-        self.depth = depth
-        self.suffix_link = suffix_link
-        self.first_child = first_child
-        self.next_sibling = next_sibling
-        self.edge_byte = edge_byte
-        self.string_of = string_of
-        self.start = start
-        self.end = end
-        self.leaf_of = leaf_of
+    kind: str
+    strings: StringSet
+    parent: array
+    depth: array
+    suffix_link: array
+    first_child: array
+    next_sibling: array
+    edge_byte: array
+    string_of: array
+    start: array
+    end: array
+    leaf_of: array
 
     # -- navigation ------------------------------------------------------
 
@@ -158,31 +131,9 @@ class OverlapTrie:
             return b""
         return self.strings.string(self.start[v])[: self.depth[v]]
 
-    def find_node(self, s: bytes) -> int:
-        """Return the id of the node whose path string equals ``s``, or -1.
 
-        Linear scan over child lists; meant for tests and small lookups,
-        not hot paths.
-        """
-        v, pos = 0, 0
-        while pos < len(s):
-            nxt = -1
-            for c in self.children(v):
-                lab = self.edge_label(c)
-                if s[pos : pos + len(lab)] == lab:
-                    nxt = c
-                    pos += len(lab)
-                    break
-            if nxt == -1:
-                return -1
-            v = nxt
-        return v if pos == len(s) else -1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"OverlapTrie(kind={self.kind!r}, nodes={self.n_nodes}, "
-            f"k={self.k}, n={self.strings.n})"
-        )
+#: the per-node columns, in declaration order (every field after ``strings``)
+COLUMNS = tuple(f.name for f in fields(OverlapTrie))[2:]
 
 
 def _lcp(a: bytes, b: bytes) -> int:
@@ -398,20 +349,7 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     if 0 not in marks:
         # every node kept (random text at the minimal step): the same
         # columns, copied so that the two structures stay independent
-        return OverlapTrie(
-            kind=new_kind,
-            strings=t.strings,
-            parent=t.parent[:],
-            depth=t.depth[:],
-            suffix_link=t.suffix_link[:],
-            first_child=t.first_child[:],
-            next_sibling=t.next_sibling[:],
-            edge_byte=t.edge_byte[:],
-            string_of=t.string_of[:],
-            start=t.start[:],
-            end=t.end[:],
-            leaf_of=t.leaf_of[:],
-        )
+        return replace(t, kind=new_kind, **{c: getattr(t, c)[:] for c in COLUMNS})
     if not marks[0]:
         raise ValueError("contract: root is not marked")
     leaf_of = t.leaf_of

@@ -187,7 +187,7 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     ehog = contract(act, mark_ehog(act), KIND_EHOG)
     for t in (act, ehog):
         ref = bytes(t.node_string(v) in want_h for v in range(t.n_nodes))
-        for algo in algorithm_names(include_oracle=False):
+        for algo in algorithm_names():
             vec = bytes(get_marker(algo)(t))
             if vec != ref:
                 v = next(v for v in range(t.n_nodes) if vec[v] != ref[v])

@@ -60,9 +60,8 @@ def test_brute_force_ov_self_pairs_and_trivial_pairs():
 # -- registry -----------------------------------------------------------------
 
 def test_algorithm_registry():
-    assert algorithm_names(include_oracle=False) == ["new", "khan", "parkcpr", "cazaux"]
-    assert algorithm_names()[-1] == "oracle"
-    for name in algorithm_names():
+    assert algorithm_names() == ["new", "khan", "parkcpr", "cazaux"]
+    for name in [*algorithm_names(), "oracle"]:
         assert callable(get_marker(name))
     with pytest.raises(ValueError, match="unknown"):
         get_marker("dijkstra")

@@ -21,7 +21,7 @@ from hog.bench import (
     write_csv,
 )
 from hog.cli import main
-from hog.datasets import dump_lines, generate_random, normalize
+from hog.datasets import generate_random, normalize
 from hog.ehog import build_ehog
 from hog.marking import MarkTimeout
 
@@ -30,8 +30,7 @@ FIG1 = [b"aabaa", b"aadbd", b"dbdaa"]
 
 def bogus_marker(t, counters=None, deadline=None):
     marks = bytearray(mark_hog_oracle(t))
-    v = t.find_node(b"a")
-    marks[v] ^= 1
+    marks[-1] ^= 1  # the last node in pre-order, a whole string
     return marks
 
 
@@ -180,9 +179,9 @@ def test_sweep_peak_memory_non_decreasing_in_n():
 
 # -- the command line -----------------------------------------------------------
 
-def fig1_file(tmp_path):
-    path = tmp_path / "fig1.txt"
-    dump_lines(normalize(FIG1), path)
+def fig1_file(tmp_path, name="fig1.txt"):
+    path = tmp_path / name
+    path.write_bytes(b"".join(s + b"\n" for s in FIG1))
     return str(path)
 
 
@@ -203,6 +202,16 @@ def test_cli_build_with_csv_and_serialize(tmp_path, capsys):
     assert "full-trie=14" in capsys.readouterr().out
 
 
+def test_cli_build_csv_quotes_a_comma_in_the_dataset_name(tmp_path, capsys):
+    out_csv = tmp_path / "row.csv"
+    inp = fig1_file(tmp_path, "fig,1.txt")
+    assert main(["build", "--input", inp, "--reps", "1", "--csv", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["dataset"], rows[0]["k"], rows[0]["n"]) == ("fig,1.txt", "3", "15")
+    assert rows[0]["algo"] == "new" and None not in rows[0]
+
+
 def test_cli_compare_agreement_line(capsys):
     rc = main([
         "compare", "--random", "30", "300", "--seed", "5",
@@ -216,6 +225,14 @@ def test_cli_compare_needs_two_algorithms(capsys):
     rc = main(["compare", "--random", "5", "50", "--algos", "new"])
     assert rc == 1
     assert "at least two" in capsys.readouterr().err
+
+
+def test_cli_compare_rejects_a_repeated_algorithm(capsys):
+    rc = main(["compare", "--random", "5", "50", "--algos", "new,new", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "twice" in captured.err
+    assert "agree" not in captured.out
 
 
 def test_cli_compare_suppresses_report_on_mismatch(monkeypatch, capsys):
@@ -237,6 +254,17 @@ def test_cli_sweep_writes_rows(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["k"], r["n"]) for r in rows] == [("5", "50"), ("5", "100")]
+
+
+def test_cli_sweep_rejects_a_repeated_algorithm(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--mode", "fix_k_vary_n", "--k", "5", "--grid", "50",
+        "--algos", "khan,khan", "--reps", "1", "--csv", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_cli_sweep_flag_validation(capsys):
@@ -271,6 +299,16 @@ def test_cli_query_engines_print_the_same_answers(tmp_path, capsys):
         answers[engine] = [ln for ln in lines if not ln.startswith("#")]
     assert len(answers["hog"]) == 45
     assert answers["ehog"] == answers["hog"]
+
+
+def test_cli_query_has_no_algo_option(tmp_path, capsys):
+    inp = fig1_file(tmp_path)
+    batch = tmp_path / "batch.txt"
+    batch.write_text("O 2 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--input", inp, "--batch", str(batch), "--algo", "new"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --algo" in capsys.readouterr().err
 
 
 def test_cli_query_rejects_bad_batch(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_fav_structure_on_fig1():
 def test_terminal_string_node_counts_itself():
     e = ehog_of([b"ab", b"abc"])
     fav = precompute_fav(e)
-    v = e.find_node(b"ab")
+    v = [e.node_string(u) for u in range(e.n_nodes)].index(b"ab")
     assert fav.base_count[v] == 2  # one child subtree + itself as a target
 
 

@@ -11,6 +11,7 @@ from hog.datasets import StringSet, normalize
 from hog.ehog import mark_ehog
 from hog.marking import mark_hog_new
 from hog.trie import (
+    COLUMNS,
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
@@ -75,10 +76,7 @@ def test_act_shared_prefixes_are_merged():
 
 def test_find_node_and_path_strings():
     act = build_act(normalize([b"ab", b"b"]))
-    v = act.find_node(b"ab")
-    assert act.node_string(v) == b"ab"
-    assert act.find_node(b"") == 0
-    assert act.find_node(b"zz") == -1
+    assert [act.node_string(v) for v in range(act.n_nodes)] == [b"", b"a", b"ab", b"b"]
 
 
 def test_leaf_intervals_cover_whole_string_nodes():
@@ -94,7 +92,8 @@ def test_leaf_intervals_cover_whole_string_nodes():
 def test_leaf_intervals_rejects_childless_non_string_node():
     ss = normalize([b"ab"])
     act = build_act(ss)
-    act.string_of[act.find_node(b"ab")] = -1  # now "a"/"ab" cover no string
+    v = [act.node_string(u) for u in range(act.n_nodes)].index(b"ab")
+    act.string_of[v] = -1  # now "a"/"ab" cover no string
     with pytest.raises(ValueError):
         leaf_intervals(act)
 
@@ -220,6 +219,7 @@ def test_contract_of_all_marked_is_an_independent_copy():
     assert verify_structure(t) == []
     columns = ("parent", "depth", "suffix_link", "first_child", "next_sibling",
                "edge_byte", "string_of", "start", "end", "leaf_of")
+    assert COLUMNS == columns
     before = {c: array("i", getattr(act, c)) for c in columns}
     for c in columns:
         assert getattr(t, c) == before[c]
@@ -339,29 +339,30 @@ def fig1_act():
 
 def test_audit_catches_bad_suffix_link():
     act = fig1_act()
-    v = act.find_node(b"aabaa")
+    v = [act.node_string(u) for u in range(act.n_nodes)].index(b"aabaa")
     act.suffix_link[v] = 0  # true target is the "aa" node
     assert any("suffix" in msg for msg in verify_structure(act))
 
 
 def test_audit_catches_bad_interval():
     act = fig1_act()
-    v = act.find_node(b"d")
+    v = [act.node_string(u) for u in range(act.n_nodes)].index(b"d")
     act.start[v], act.end[v] = 1, 3  # claims to cover strings it does not
     assert verify_structure(act) != []
 
 
 def test_audit_catches_bad_parent_depth():
     act = fig1_act()
-    v = act.find_node(b"aab")
+    v = [act.node_string(u) for u in range(act.n_nodes)].index(b"aab")
     act.depth[v] = 7
     assert verify_structure(act) != []
 
 
 def test_audit_catches_wrong_leaf_map():
     act = fig1_act()
-    act.string_of[act.find_node(b"aabaa")] = 2
-    act.string_of[act.find_node(b"aadbd")] = 1
+    names = [act.node_string(u) for u in range(act.n_nodes)]
+    act.string_of[names.index(b"aabaa")] = 2
+    act.string_of[names.index(b"aadbd")] = 1
     assert verify_structure(act) != []
 
 
