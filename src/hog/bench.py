@@ -137,8 +137,9 @@ class BenchRow:
 
 
 def write_csv(rows: list[BenchRow], path: str) -> None:
-    """Write the header and ``rows``; a field holding a comma or quote is quoted."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    """Write the header and ``rows`` as UTF-8; a field holding a comma or quote
+    is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         csv.writer(fh, lineterminator="\n").writerows(row.csv_fields() for row in rows)
 

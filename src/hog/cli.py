@@ -10,6 +10,7 @@ only drives the oracle suite in :mod:`hog.verify`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -90,10 +91,17 @@ def _parse_algos(spec: str) -> list[str]:
     return names
 
 
+def _check_timeout(seconds: float | None) -> None:
+    # nan compares false with everything, so it would mean no deadline at all
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"--timeout must be a positive number of seconds, got {seconds}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    _check_timeout(args.timeout)
     ss, name, seed = _load_dataset(args)
     report = bench_point(
         ss, [args.algo], reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
@@ -113,6 +121,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_timeout(args.timeout)
     algos = _parse_algos(args.algos)
     if len(algos) < 2:
         raise ValueError("compare needs at least two algorithms")
@@ -129,6 +138,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_timeout(args.timeout)
     algos = _parse_algos(args.algos)
     grid = [int(x) for x in args.grid.split(",") if x.strip()]
     if args.mode == "fix_n_vary_k":

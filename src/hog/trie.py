@@ -6,8 +6,9 @@ One class serves all three structure kinds used in this package:
     The full prefix trie of a sorted string set, one character per edge,
     augmented with suffix links (an Aho–Corasick-style automaton skeleton).
     At most ``n + 1`` nodes for total input length ``n``.  Each string's
-    fresh nodes get consecutive ids, so its suffix links are filled by walking
-    down that run of ids, not breadth-first.
+    fresh nodes get consecutive ids, so most columns are built as whole-column
+    copies, and its suffix links are filled by walking down that run of ids,
+    not breadth-first.
 ``ehog``
     The contraction of the ``act`` to the root, the whole strings, and every
     node reachable by walking suffix links from a whole-string node (a
@@ -44,9 +45,11 @@ A ``MarkVector`` is a plain ``bytearray`` with one 0/1 flag per node id.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, count, islice
+from operator import sub
 from typing import Iterator
 
 from .datasets import StringSet
@@ -150,13 +153,19 @@ def _lcp(a: bytes, b: bytes) -> int:
 def build_act(ss: StringSet) -> OverlapTrie:
     """Build the one-character-per-edge trie of all prefixes, with suffix links.
 
-    Because ``ss.strings`` is sorted, each string is inserted by finding the
-    longest common prefix with its predecessor (kept as a node path) and
-    appending its fresh tail of nodes with one C-level copy per column — no
-    child searches, and node ids come out in DFS pre-order.  Leaf intervals
-    are set during the insertion: a fresh node starts at the string that
-    created it, and ends at the last string inserted before it leaves the
-    path.
+    Because ``ss.strings`` is sorted, string ``j``'s fresh nodes are its
+    characters past its longest common prefix (lcp) with string ``j - 1``, and
+    they get consecutive ids: no child searches, and ids come out in DFS
+    pre-order.  The insertion takes two passes, so that per-node work happens
+    only in C-level slice copies.  The first computes every lcp and tail,
+    hence the node count, and fills whole columns as they are inside a tail
+    (the parent is the node before, the first child the node after, no
+    sibling, no whole string).  The second walks the path to the previous
+    string: it mends each tail's two ends and appends the ``depth`` and
+    ``start`` slices and the label bytes.  A fresh node's leaf interval starts
+    at the string that created it and ends at the last string inserted before
+    it leaves the path; the nodes that leave together form one run of
+    consecutive ids per tail on the path, so ``end`` is set one run at a time.
 
     Suffix links are then filled by the classic fallback chase over the
     parent's link, walking the nodes in id order: string by string, each
@@ -171,55 +180,68 @@ def build_act(ss: StringSet) -> OverlapTrie:
     k = ss.k
     if not k:
         raise ValueError("cannot build a trie over an empty string set")
-    # fill sources: every column extend below copies a slice of these
-    iota = array("i", range(ss.n + 2))
-    longest = max(map(len, ss.strings))
-    minus_one = array("i", [-1]) * longest
-    all_k = array("i", [k]) * longest
-    parent = array("i", [-1])
-    depth = array("i", [0])
-    edge_byte = array("i", [-1])
-    first_child = array("i", [-1])
-    next_sibling = array("i", [-1])
-    string_of = array("i", [-1])
-    start = array("i", [1])
-    end = array("i", [k])  # the root stays on the path to the end
-    leaf_of = array("i", [-1] + [0] * k)
+    strings = ss.strings
+    # pass 1, per string: string j's tail of fresh nodes is firsts[j - 1]
+    # up to firsts[j] - 1, its characters past the lcp with string j - 1
+    lcps = array("i", map(_lcp, strings, chain((b"",), strings)))
+    lens = array("i", map(len, strings))
+    firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
+    n_nodes = firsts[-1]
+    longest = max(lens)
+    iota = array("i", range(n_nodes + 1))  # every slice copy below reads it
 
-    prev = b""
-    path = [0]  # path[d] = node at depth d on the previously inserted string
-    for j, s in enumerate(ss.strings, 1):
-        lcp = _lcp(s, prev)
+    # whole columns, as they are inside a tail; pass 2 mends its two ends
+    parent = array("i", [-1]) + iota[: n_nodes - 1]
+    first_child = iota[1:]
+    next_sibling = array("i", [-1]) * n_nodes
+    string_of = array("i", [-1]) * n_nodes
+    end = array("i", [k]) * n_nodes  # nodes still on the path at the end
+    leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
+    leaf_of[0] = -1
+    depth = array("i", [0])
+    start = array("i", [1])
+    labels = bytearray()
+
+    # pass 2, path bookkeeping: the path to the previous string is one run
+    # of consecutive ids per tail on it, runs[i] the depth where run i
+    # begins, so the nodes that leave it get their end one run at a time
+    path = array("i", [0])  # path[d] = node at depth d on it
+    runs = [0]
+    for j, s, lcp, node, length in zip(count(1), strings, lcps, firsts, lens):
         # sorted and distinct, so s extends past the lcp: tail >= 1 node
         v = path[lcp]
-        node = len(parent)
-        if len(path) > lcp + 1:
+        top = len(path) - 1
+        if top > lcp:
             # path[lcp + 1] is v's last child so far; the tail follows it
             next_sibling[path[lcp + 1]] = node
-            for x in path[lcp + 1 :]:
-                end[x] = j - 1
+            last_run = array("i", [j - 1])
+            while runs[-1] > lcp:
+                a = runs.pop()
+                end[path[a] : path[top] + 1] = last_run * (top + 1 - a)
+                top = a - 1
+            if top > lcp:
+                end[path[lcp + 1] : path[top] + 1] = last_run * (top - lcp)
             del path[lcp + 1 :]
         else:
             first_child[v] = node
-        tail = len(s) - lcp
-        last = node + tail - 1
-        parent.append(v)
-        parent += iota[node:last]
-        depth += iota[lcp + 1 : len(s) + 1]
-        edge_byte.extend(s[lcp:])
-        first_child += iota[node + 1 : last + 1]
-        first_child.append(-1)
-        next_sibling += minus_one[:tail]
-        string_of += minus_one[: tail - 1]
-        string_of.append(j)
-        start += iota[j : j + 1] * tail
-        end += all_k[:tail]  # nodes still on the path at the end
-        path += iota[node : last + 1]
-        leaf_of[j] = last
-        prev = s
+        leaf = node + length - lcp - 1
+        parent[node] = v
+        first_child[leaf] = -1
+        string_of[leaf] = j
+        depth += iota[lcp + 1 : length + 1]
+        start += iota[j : j + 1] * (length - lcp)
+        labels += s[lcp:]
+        path += iota[node : leaf + 1]
+        runs.append(lcp + 1)
+    # each label byte goes to the low byte of its int, written in place
+    # through a byte view: no second copy of the column at the build's peak
+    edge_byte = array("i", [0]) * n_nodes
+    edge_byte[0] = -1
+    width = edge_byte.itemsize
+    with memoryview(edge_byte) as ints, ints.cast("B") as octets:
+        octets[width + (0 if sys.byteorder == "little" else width - 1) :: width] = labels
+    del lcps, lens, firsts, labels
 
-    n_nodes = len(parent)
-    strings = ss.strings
     suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
     suffix_link[0] = 0
     # deferred[d]: the nodes of depth d whose chase met an unresolved link

@@ -13,7 +13,7 @@ import random
 from collections.abc import Iterator
 
 from .baselines import algorithm_names, brute_force_ov, get_marker, ov_length
-from .datasets import StringSet
+from .datasets import SplitMix64, StringSet
 from .ehog import mark_ehog
 from .queries import QueryEngine
 from .trie import (
@@ -46,8 +46,21 @@ def _random_bytes(seed: int, k: int) -> list[bytes]:
     ]
 
 
+def _sampled_reads(seed: int, genome_len: int, k: int, lo: int, hi: int) -> list[bytes]:
+    """``k`` reads of ``lo..hi`` bytes at seeded positions of one ACGT genome."""
+    rng = SplitMix64(seed)
+    genome = bytes(b"ACGT"[b % 4] for b in rng.byte_block(genome_len))
+    reads = []
+    for _ in range(k):
+        length = lo + rng.next_u64() % (hi - lo + 1)
+        p = rng.next_u64() % (genome_len - length + 1)
+        reads.append(genome[p : p + length])
+    return reads
+
+
 #: Named string sets that random instances rarely reach: periodic, unary and
-#: Fibonacci strings, nested prefixes, duplicates and the full byte range.
+#: Fibonacci strings, nested prefixes, duplicates, the full byte range, and
+#: long overlaps (reads of one short genome).
 FAMILIES: dict[str, list[bytes]] = {
     "unary": [b"a" * i for i in range(1, 41)],
     "periodic-ab": [b"ab" * i for i in range(1, 21)],
@@ -60,6 +73,7 @@ FAMILIES: dict[str, list[bytes]] = {
     + [b"\x00", b"\xff\xff", bytes(range(256))],
     "bytes-0-255-a": _random_bytes(1, 40),
     "bytes-0-255-b": _random_bytes(2, 40),
+    "sampled-reads": _sampled_reads(1, 300, 100, 20, 200),
 }
 
 FIXED: list[list[bytes]] = [

@@ -212,6 +212,25 @@ def test_cli_build_csv_quotes_a_comma_in_the_dataset_name(tmp_path, capsys):
     assert rows[0]["algo"] == "new" and None not in rows[0]
 
 
+def test_cli_build_csv_round_trips_a_non_ascii_dataset_name(tmp_path, capsys):
+    out_csv = tmp_path / "row.csv"
+    inp = fig1_file(tmp_path, "f\u00efg.txt")
+    assert main(["build", "--input", inp, "--reps", "1", "--csv", str(out_csv)]) == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert (rows[0]["dataset"], rows[0]["k"], rows[0]["algo"]) == ("f\u00efg.txt", "3", "new")
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+def test_cli_build_rejects_a_meaningless_timeout(capsys, seconds):
+    rc = main(["build", "--random", "5", "50", "--reps", "1", f"--timeout={seconds}"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --timeout must be a positive number")
+    assert captured.out == ""  # nothing was built
+
+
 def test_cli_compare_agreement_line(capsys):
     rc = main([
         "compare", "--random", "30", "300", "--seed", "5",
@@ -233,6 +252,15 @@ def test_cli_compare_rejects_a_repeated_algorithm(capsys):
     assert rc == 1
     assert captured.err.startswith("error:") and "twice" in captured.err
     assert "agree" not in captured.out
+
+
+@pytest.mark.parametrize("seconds", ["-1", "nan"])
+def test_cli_compare_rejects_a_meaningless_timeout(capsys, seconds):
+    rc = main(["compare", "--random", "5", "50", "--reps", "1", f"--timeout={seconds}"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --timeout must be a positive number")
+    assert captured.out == ""
 
 
 def test_cli_compare_suppresses_report_on_mismatch(monkeypatch, capsys):
@@ -264,6 +292,19 @@ def test_cli_sweep_rejects_a_repeated_algorithm(tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seconds", ["0", "nan"])
+def test_cli_sweep_rejects_a_meaningless_timeout(tmp_path, capsys, seconds):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--mode", "fix_k_vary_n", "--k", "5", "--grid", "50",
+        "--algos", "new", "--reps", "1", f"--timeout={seconds}", "--csv", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --timeout must be a positive number")
     assert not out.exists()
 
 

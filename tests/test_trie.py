@@ -183,19 +183,89 @@ def test_suffix_links_match_breadth_first(raw):
     assert act.suffix_link == bfs_suffix_links(act)
 
 
-def test_large_read_set_suffix_links_match_breadth_first():
-    # verify_structure's maximality audit stops at 4,000 nodes, so at this
-    # size only the reference checks the links
+def large_read_set():
+    """Reads of one genome, with halves of five reads and three duplicates:
+    an act of over 20,000 nodes."""
     rng = random.Random(5)
     genome = bytes(rng.choice(b"ACGT") for _ in range(3000))
     reads = []
     for _ in range(70):
         p = rng.randrange(len(genome) - 400)
         reads.append(genome[p : p + rng.randrange(300, 400)])
-    reads += [r[: len(r) // 2] for r in reads[:5]] + reads[:3]
-    act = build_act(normalize(reads))
+    return reads + [r[: len(r) // 2] for r in reads[:5]] + reads[:3]
+
+
+def test_large_read_set_suffix_links_match_breadth_first():
+    # verify_structure's maximality audit stops at 4,000 nodes, so at this
+    # size only the reference checks the links
+    act = build_act(normalize(large_read_set()))
     assert act.n_nodes >= 20_000
     assert act.suffix_link == bfs_suffix_links(act)
+
+
+# -- the insertion against a dict trie ------------------------------------------
+
+def naive_columns(ss):
+    """Reference for build_act's insertion: a dict trie of every prefix,
+    numbered by a recursive pre-order walk with children by ascending byte.
+    Returns every column but ``suffix_link``."""
+    root = {}
+    for s in ss.strings:
+        node = root
+        for b in s:
+            node = node.setdefault(b, {})
+    index = {s: j for j, s in enumerate(ss.strings, 1)}
+    cols = {c: array("i") for c in COLUMNS if c != "suffix_link"}
+    cols["leaf_of"] = array("i", [-1]) * (ss.k + 1)
+
+    def visit(children, x, p):
+        v = len(cols["parent"])
+        covered = [j for j, s in enumerate(ss.strings, 1) if s.startswith(x)]
+        j = index.get(x, -1)
+        if j != -1:
+            cols["leaf_of"][j] = v
+        for c, value in (
+            ("parent", p), ("depth", len(x)), ("first_child", -1), ("next_sibling", -1),
+            ("edge_byte", x[-1] if x else -1), ("string_of", j),
+            ("start", covered[0]), ("end", covered[-1]),
+        ):
+            cols[c].append(value)
+        before = -1
+        for b in sorted(children):
+            child = visit(children[b], x + bytes([b]), v)
+            if before == -1:
+                cols["first_child"][v] = child
+            else:
+                cols["next_sibling"][before] = child
+            before = child
+        return v
+
+    visit(root, b"", -1)
+    return cols
+
+
+def assert_insertion_matches_naive(raw):
+    act = build_act(normalize(raw))
+    want = naive_columns(act.strings)
+    for c, column in want.items():
+        assert getattr(act, c) == column, c
+
+
+@given(small_sets | sampled_reads() | full_byte_sets)
+@settings(max_examples=300, deadline=None)
+def test_insertion_matches_naive_trie(raw):
+    assert_insertion_matches_naive(raw)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_insertion_matches_naive_trie_on_families(family):
+    assert_insertion_matches_naive(FAMILIES[family])
+
+
+def test_insertion_matches_naive_trie_on_a_large_read_set():
+    # past the maximality audit's 4,000 nodes; the halves and duplicates
+    # nest, so leaves gain a first child after their string is inserted
+    assert_insertion_matches_naive(large_read_set())
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 64])
