@@ -97,11 +97,18 @@ def _check_timeout(seconds: float | None) -> None:
         raise ValueError(f"--timeout must be a positive number of seconds, got {seconds}")
 
 
+def _check_reps(reps: int) -> None:
+    # checked before the build, which can take seconds, not after it
+    if reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {reps}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
+    _check_reps(args.reps)
     ss, name, seed = _load_dataset(args)
     report = bench_point(
         ss, [args.algo], reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
@@ -122,6 +129,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
+    _check_reps(args.reps)
     algos = _parse_algos(args.algos)
     if len(algos) < 2:
         raise ValueError("compare needs at least two algorithms")
@@ -139,6 +147,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_timeout(args.timeout)
+    _check_reps(args.reps)
     algos = _parse_algos(args.algos)
     grid = [int(x) for x in args.grid.split(",") if x.strip()]
     if args.mode == "fix_n_vary_k":

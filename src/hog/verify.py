@@ -17,12 +17,15 @@ from .datasets import SplitMix64, StringSet
 from .ehog import mark_ehog
 from .queries import QueryEngine
 from .trie import (
+    COLUMNS,
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
     OverlapTrie,
     build_act,
     contract,
+    contract_by_gather,
+    contract_by_splice,
     verify_structure,
 )
 
@@ -186,7 +189,8 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
 
     Returns one ``(check, message)`` pair per failure, ``check`` one of
     :data:`CHECKS`: ``structure`` (audits of the full, extended and minimal
-    graphs, and minimal ⊆ extended ⊆ full as string sets), ``sets`` (node
+    graphs, minimal ⊆ extended ⊆ full as string sets, and the same minimal
+    columns from both of ``contract``'s routes), ``sets`` (node
     and marked sets against their oracles), ``vectors`` (one of the four
     markers differs, on the full trie or the extended graph, from the
     oracle's vector: the nodes whose strings are in the brute-force target
@@ -217,6 +221,12 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
                 f"marks on {t.kind}: extra={got - want_h!r} missing={want_h - got!r}",
             ))
     hog = contract(ehog, ref, KIND_HOG)
+    # contract takes one of its two routes; both must build the same columns
+    spliced = contract_by_splice(ehog, ref, KIND_HOG)
+    gathered = contract_by_gather(ehog, ref, KIND_HOG)
+    for c in COLUMNS:
+        if getattr(spliced, c) != getattr(gathered, c):
+            problems.append(("structure", f"hog: the splice and gather routes differ in {c}"))
 
     nodes = {}
     for t, want in ((act, None), (ehog, brute_ehog_strings(strings)), (hog, want_h)):

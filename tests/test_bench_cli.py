@@ -231,6 +231,27 @@ def test_cli_build_rejects_a_meaningless_timeout(capsys, seconds):
     assert captured.out == ""  # nothing was built
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--random", "5", "50"],
+    ["compare", "--random", "5", "50"],
+    ["sweep", "--mode", "fix_k_vary_n", "--k", "5", "--grid", "50", "--algos", "new"],
+])
+def test_cli_rejects_zero_reps_before_building(monkeypatch, tmp_path, capsys, command):
+    built = []
+
+    def no_build(ss):
+        built.append(ss)
+        raise BenchError("built before checking --reps")
+
+    monkeypatch.setattr(hog.bench, "build_ehog", no_build)
+    rc = main(command + ["--reps", "0", "--csv", str(tmp_path / "rows.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: --reps must be at least 1, got 0\n"
+    assert built == []
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_cli_compare_agreement_line(capsys):
     rc = main([
         "compare", "--random", "30", "300", "--seed", "5",

@@ -1,6 +1,7 @@
 """Full prefix trie, contraction, and the structural audit."""
 
 import random
+import sys
 from array import array
 
 import pytest
@@ -10,6 +11,7 @@ from hog.baselines import mark_hog_oracle
 from hog.datasets import StringSet, normalize
 from hog.ehog import mark_ehog
 from hog.marking import mark_hog_new
+import hog.trie
 from hog.trie import (
     COLUMNS,
     KIND_ACT,
@@ -18,6 +20,8 @@ from hog.trie import (
     _lcp,
     build_act,
     contract,
+    contract_by_gather,
+    contract_by_splice,
     leaf_intervals,
     to_text,
     verify_structure,
@@ -350,12 +354,19 @@ edge_byte_sets = st.lists(
 @st.composite
 def act_and_marks(draw):
     """A full trie and a mark vector holding the root, every whole string and
-    random other nodes; the marks need not be closed under suffix links."""
+    random other nodes; the marks need not be closed under suffix links.
+    Half the vectors are mostly marked, so that ``contract`` splices."""
     raw = draw(edge_byte_sets)
     # add some proper prefixes so that strings nest
     raw += [s[: draw(st.integers(1, len(s)))] for s in raw[: draw(st.integers(0, 3))]]
     act = build_act(normalize(raw))
-    marks = bytearray(draw(st.lists(st.booleans(), min_size=act.n_nodes, max_size=act.n_nodes)))
+    n = act.n_nodes
+    if draw(st.booleans()):
+        marks = bytearray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        marks = bytearray(b"\x01") * n
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=max(1, n // 8))):
+            marks[v] = 0
     marks[0] = 1
     for j in range(1, act.k + 1):
         marks[act.leaf_of[j]] = 1
@@ -388,6 +399,102 @@ def test_contract_matches_node_string_oracle(case):
         assert list(t.children(v)) == children  # ascending ids = label order
     assert list(t.leaf_of) == [-1] + [ids[s] for s in ss.strings]
     assert verify_structure(t) == []
+
+
+# -- the two contraction routes -------------------------------------------------
+
+def assert_routes_agree(t, marks, kind=KIND_HOG):
+    splice = contract_by_splice(t, marks, kind)
+    gather = contract_by_gather(t, marks, kind)
+    assert splice.kind == gather.kind == kind
+    for c in COLUMNS:
+        assert getattr(splice, c) == getattr(gather, c), c
+    return splice
+
+
+def sparse_marks(t, seed, share):
+    """Keep the root, every whole string and all but about ``share`` of the
+    other nodes."""
+    rng = random.Random(seed)
+    marks = bytearray(rng.random() >= share for _ in range(t.n_nodes))
+    marks[0] = 1
+    for j in range(1, t.k + 1):
+        marks[t.leaf_of[j]] = 1
+    return marks
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_contract_routes_agree_on_families(family):
+    act = build_act(normalize(FAMILIES[family]))
+    e = assert_routes_agree(act, mark_ehog(act), KIND_EHOG)
+    assert_routes_agree(e, mark_hog_new(e))
+    for seed, share in ((1, 0.02), (2, 0.2), (3, 0.6)):
+        assert_routes_agree(act, sparse_marks(act, seed, share))
+        assert_routes_agree(e, sparse_marks(e, seed, share))
+
+
+def test_contract_routes_agree_on_a_reads_shaped_set():
+    # the size of the benchmark's reads workload: 400 reads of 500 bytes from
+    # a 5,000-byte genome, whose minimal step drops a handful of nodes
+    rng = random.Random(7)
+    genome = bytes(rng.choice(b"ACGT") for _ in range(5000))
+    reads = [genome[p : p + 500] for p in (rng.randrange(4501) for _ in range(400))]
+    e = build_ehog_of(reads)
+    assert 15_000 <= e.n_nodes <= 17_000
+    hm = mark_hog_new(e)
+    assert 0 < hm.count(0) < e.n_nodes // 100
+    assert verify_structure(assert_routes_agree(e, hm)) == []
+    assert_routes_agree(e, sparse_marks(e, 4, 0.05))
+
+
+def test_contract_splice_is_linear_when_a_wide_node_gains_many_children():
+    # full-bytes: dropping the depth-1 nodes hands their children to the root
+    e = build_ehog_of(FAMILIES["full-bytes"])
+    marks = bytearray(e.depth[v] != 1 or e.string_of[v] != -1 for v in range(e.n_nodes))
+    dropped = marks.count(0)
+    assert dropped >= 250
+    h = assert_routes_agree(e, marks)
+    assert verify_structure(h) == []
+    assert sum(1 for _ in h.children(0)) > 250
+    # Python lines run by the splice: about 9 per node here, while a walk of
+    # the root's 257-child list per dropped node would take over 40 per node
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        contract_by_splice(e, marks, KIND_HOG)
+    finally:
+        sys.settrace(None)
+    assert lines < 20 * e.n_nodes
+
+
+def test_contract_route_follows_the_drop_count(monkeypatch):
+    e = build_ehog_of(FAMILIES["full-bytes"])
+    routes = []
+    for name in ("contract_by_splice", "contract_by_gather"):
+        monkeypatch.setattr(
+            hog.trie, name,
+            lambda t, marks, kind, name=name: routes.append((name, marks.count(0))),
+        )
+    n = e.n_nodes
+    droppable = [v for v in range(1, n) if e.string_of[v] == -1]
+    limit = int(hog.trie._SPLICE_MAX_DROP_SHARE * n)
+    assert limit < len(droppable)
+    for drops in (0, 1, limit, limit + 1, len(droppable)):
+        marks = bytearray(b"\x01") * n
+        for v in droppable[:drops]:
+            marks[v] = 0
+        contract(e, marks, KIND_HOG)
+    splice, gather = "contract_by_splice", "contract_by_gather"
+    assert routes == [
+        (splice, 0), (splice, 1), (splice, limit),
+        (gather, limit + 1), (gather, len(droppable)),
+    ]
 
 
 def test_contract_reports_lowest_unmarked_whole_string():
