@@ -138,7 +138,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ss, algos, reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
     )
     print(render_report(report, args.reps))
-    print("  mark vectors: all algorithms agree")
+    timed_out = [run.algo for run in report.runs if run.timed_out]
+    finished = len(report.runs) - len(timed_out)
+    if finished < 2:
+        raise BenchError(
+            f"nothing to compare: {', '.join(timed_out)} timed out, "
+            f"so fewer than two algorithms finished"
+        )
+    if timed_out:
+        print(f"  mark vectors: {finished} of {len(report.runs)} compared, all agree "
+              f"({', '.join(timed_out)} timed out)")
+    else:
+        print("  mark vectors: all algorithms agree")
     if args.csv:
         write_csv(report.rows, args.csv)
         print(f"  wrote {len(report.rows)} row(s) -> {args.csv}")

@@ -18,9 +18,12 @@ One class serves all three structure kinds used in this package:
     pairwise-overlap nodes.
 
 Nodes are identified by dense integer ids in DFS pre-order (the root is 0,
-parents precede children, children ascend lexicographically).  All per-node
-attributes live in parallel ``array('i')`` columns, which keeps the ``act``
-for megabyte-scale inputs within a few machine words per character.
+parents precede children, children ascend lexicographically).  Seven
+per-node attributes are stored in parallel ``array('i')`` columns, which
+keeps the ``act`` for megabyte-scale inputs within a few machine words per
+character.  Child lists and edge bytes are not stored: in pre-order they
+follow from ``parent`` (a node's children are the ids whose parent it is,
+in ascending order), and ``OverlapTrie`` derives them on request.
 
 Edge labels are never copied: the label of ``v`` is
 ``string(start[v])[depth[parent[v]]:depth[v]]``, a slice of one retained
@@ -38,8 +41,8 @@ nodes and rebuilds their links.
 
 Public API
 ----------
-OverlapTrie        container with navigation helpers
-COLUMNS            names of its per-node ``array('i')`` columns
+OverlapTrie        container with navigation helpers and derived child lists
+COLUMNS            names of its seven stored per-node ``array('i')`` columns
 build_act          sorted strings -> ``act`` trie, intervals included
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
@@ -57,8 +60,7 @@ import sys
 from array import array
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate, chain, compress, count, islice
-from operator import sub
-from typing import Iterator
+from operator import eq, sub
 
 from .datasets import StringSet
 
@@ -84,10 +86,6 @@ class OverlapTrie:
     - ``suffix_link``: id of the node holding the longest proper suffix of
       the node's path string that exists in this trie; the root links to
       itself.
-    - ``first_child`` / ``next_sibling``: children as intrusive linked
-      lists, in ascending label order (equivalent to a per-node sorted
-      child list).
-    - ``edge_byte``: first byte of the incoming edge label (``-1`` at root).
     - ``string_of``: sorted string index ``j`` if the node's path string is
       exactly string ``j``, else ``-1``.
     - ``start`` / ``end``: the node's subtree covers exactly the sorted
@@ -96,6 +94,9 @@ class OverlapTrie:
     - ``leaf_of``: for each ``j`` in ``1..k``, the node whose path string is
       string ``j`` (despite the name this node may be internal when one
       input string is a prefix of another); entry 0 is unused.
+
+    ``first_child``, ``next_sibling`` and ``edge_byte`` are read-only
+    columns derived from the stored ones: each read builds a fresh array.
     """
 
     kind: str
@@ -103,9 +104,6 @@ class OverlapTrie:
     parent: array
     depth: array
     suffix_link: array
-    first_child: array
-    next_sibling: array
-    edge_byte: array
     string_of: array
     start: array
     end: array
@@ -121,12 +119,42 @@ class OverlapTrie:
     def k(self) -> int:
         return self.strings.k
 
-    def children(self, v: int) -> Iterator[int]:
-        """Yield the child ids of ``v`` in ascending label order."""
-        c = self.first_child[v]
-        while c != -1:
-            yield c
-            c = self.next_sibling[c]
+    @property
+    def first_child(self) -> array:
+        """Per node, its first child in label order, or ``-1`` at a leaf: in
+        pre-order that is the next id, when its parent is the node."""
+        parent = self.parent
+        out = array("i", [-1]) * len(parent)
+        for c in compress(count(1), map(eq, islice(parent, 1, None), count())):
+            out[c - 1] = c
+        return out
+
+    @property
+    def next_sibling(self) -> array:
+        """Per node, the next child of its parent in label order (the next
+        id with the same parent), or ``-1`` after the last."""
+        parent = self.parent
+        n = len(parent)
+        out = array("i", [-1]) * n
+        head = array("i", [-1]) * n  # head[p]: p's lowest child seen so far
+        for c in range(n - 1, 0, -1):
+            p = parent[c]
+            out[c] = head[p]
+            head[p] = c
+        return out
+
+    @property
+    def edge_byte(self) -> array:
+        """Per node, the first byte of its incoming edge label (``-1`` at
+        the root)."""
+        strings = self.strings.strings
+        depth = self.depth
+        out = array("i", [-1])
+        out.extend(
+            strings[s - 1][depth[p]]
+            for s, p in zip(islice(self.start, 1, None), islice(self.parent, 1, None))
+        )
+        return out
 
     def edge_label(self, v: int) -> bytes:
         """Incoming edge label of ``v`` (empty for the root).  Copies lazily."""
@@ -143,7 +171,8 @@ class OverlapTrie:
         return self.strings.string(self.start[v])[: self.depth[v]]
 
 
-#: the per-node columns, in declaration order (every field after ``strings``)
+#: the stored per-node columns, in declaration order (every field after
+#: ``strings``)
 COLUMNS = tuple(f.name for f in fields(OverlapTrie))[2:]
 
 
@@ -314,9 +343,6 @@ def build_act(ss: StringSet) -> OverlapTrie:
         parent=parent,
         depth=depth,
         suffix_link=suffix_link,
-        first_child=first_child,
-        next_sibling=next_sibling,
-        edge_byte=edge_byte,
         string_of=string_of,
         start=start,
         end=end,
@@ -330,8 +356,9 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
     The builder sets intervals during insertion; this independent
     recomputation is what ``verify_structure`` checks them against.  A
     single reverse-id sweep folds each node's range into its parent, which
-    is correct because parents always precede children in id order.  A node
-    that is itself string ``j`` seeds its own range with ``j``.
+    is correct because parents always precede children in id order (a
+    parent that does not raises ``ValueError``).  A node that is itself
+    string ``j`` seeds its own range with ``j``.
     """
     n = t.n_nodes
     start = array("i", [_INT_MAX]) * n if n else array("i")
@@ -345,6 +372,8 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
     parent = t.parent
     for v in range(n - 1, 0, -1):
         p = parent[v]
+        if not 0 <= p < v:
+            raise ValueError(f"node {v}: parent {p} does not precede it")
         if start[v] < start[p]:
             start[p] = start[v]
         if end[v] > end[p]:
@@ -358,8 +387,8 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
 #: ``contract`` splices when at most this share of the nodes drops, and
 #: gathers the kept nodes otherwise: on scattered drops from the extended
 #: graphs of 20,000 short random strings and of 400 reads, the two routes
-#: cost the same between 0.2 and 0.25
-_SPLICE_MAX_DROP_SHARE = 0.2
+#: cost the same between 0.32 and 0.35
+_SPLICE_MAX_DROP_SHARE = 0.3
 
 
 def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
@@ -413,31 +442,17 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     for nv, v in enumerate(kept):
         newid[v] = nv
 
-    new_depth = array("i", map(t.depth.__getitem__, kept))
-    new_string_of = array("i", map(t.string_of.__getitem__, kept))
     new_start = array("i", map(t.start.__getitem__, kept))
     new_end = array("i", map(t.end.__getitem__, kept))
     new_parent = array("i", [-1]) * m
-    new_edge_byte = array("i", [-1]) * m
-    new_first = array("i", [-1]) * m
-    new_next = array("i", [-1]) * m
 
-    # stack[i + 1]'s new parent is stack[i]; the last node popped before v's
-    # parent surfaces is that parent's previous child
-    strings = t.strings.strings
+    # stack[i + 1]'s new parent is stack[i]
     stack = [0]
     for nv in range(1, m):
         s = new_start[nv]
-        prev_child = -1
         while new_end[stack[-1]] < s:
-            prev_child = stack.pop()
-        p = stack[-1]
-        new_parent[nv] = p
-        new_edge_byte[nv] = strings[s - 1][new_depth[p]]
-        if prev_child == -1:
-            new_first[p] = nv
-        else:
-            new_next[prev_child] = nv
+            stack.pop()
+        new_parent[nv] = stack[-1]
         stack.append(nv)
 
     # suffix links: chase old links to the first marked node; newid doubles
@@ -463,12 +478,9 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
         kind=new_kind,
         strings=t.strings,
         parent=new_parent,
-        depth=new_depth,
+        depth=array("i", map(t.depth.__getitem__, kept)),
         suffix_link=new_sl,
-        first_child=new_first,
-        next_sibling=new_next,
-        edge_byte=new_edge_byte,
-        string_of=new_string_of,
+        string_of=array("i", map(t.string_of.__getitem__, kept)),
         start=new_start,
         end=new_end,
         leaf_of=new_leaf_of,
@@ -478,26 +490,18 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
 def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     """:func:`contract`'s route for few unmarked nodes: splice each one out.
 
-    An unmarked node ``x`` is never a leaf (every leaf is a whole string), so
-    splicing it hands its children to its parent, and puts its child list in
-    its place in its parent's list.  Visiting the unmarked nodes in
-    ascending id order, parents before children, resolves chains of them.
-    The kept nodes keep their values in runs of consecutive ids, so the
-    columns that hold no ids are copied one run at a time, and those that
-    do, but for ``first_child``, are mapped through one id table,
-    ``newid``.  A kept node's entry is its new id; an unmarked node's entry
-    is rewritten before each map: its suffix-link target's new id, then the
-    first kept node of its spliced child list (what a pointer to it
-    becomes), then its new parent.  Only the kept last children of unmarked
-    nodes and the kept children's edge bytes are patched afterwards.  In
-    pre-order a node's first child is the next id, so the new
-    ``first_child`` is the identity shifted by one, with ``-1`` at the
-    leaves.
+    An unmarked node is never a leaf (every leaf is a whole string), so
+    splicing it hands its children to its parent.  The kept nodes keep their
+    values in runs of consecutive ids, so the columns that hold no ids are
+    copied one run at a time, and those that do are mapped through one id
+    table, ``newid``.  A kept node's entry is its new id; an unmarked node's
+    entry is rewritten before each map: its suffix-link target's new id,
+    then its new parent.  Visiting the unmarked nodes in ascending id order,
+    parents before children, resolves chains of them.
 
-    Python-level work is O(unmarked nodes and their children + leaves);
-    every pass over all ``n`` nodes is C-level.  With no unmarked node the
-    result is a column-by-column copy.  The marks are not checked:
-    :func:`contract` does that.
+    Python-level work is O(unmarked nodes); every pass over all ``n`` nodes
+    is C-level.  With no unmarked node the result is a column-by-column
+    copy.  The marks are not checked: :func:`contract` does that.
     """
     n = t.n_nodes
     dropped = []
@@ -508,7 +512,6 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     if not dropped:
         # the same columns, copied so that the two structures stay independent
         return replace(t, kind=new_kind, **{c: getattr(t, c)[:] for c in COLUMNS})
-    d = len(dropped)
     ends = dropped[1:] + [n]  # the kept run after dropped[i] ends before ends[i]
 
     def kept_runs(column: array) -> array:
@@ -521,8 +524,7 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     # copied down from the identity, last run first, so every source is
     # still untouched; entry n is -1, so -1 maps to -1
     newid = array("i", range(n + 1))
-    new_first = newid[1 : n - d + 1]
-    for i in range(d, 0, -1):
+    for i in range(len(dropped), 0, -1):
         a = dropped[i - 1] + 1
         b = ends[i - 1]
         newid[a:b] = newid[a - i : b - i]
@@ -547,60 +549,18 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     new_sl = array("i", map(remap, compress(suffix_link, marks)))
     new_leaf_of = array("i", map(remap, t.leaf_of))
 
-    # sibling lists: a pointer to x becomes one to the first kept node of x's
-    # spliced list; x's last child is followed by x's next sibling, or by
-    # what follows x itself when x is the last child of an unmarked parent
     parent = t.parent
-    first_child = t.first_child
-    next_sibling = t.next_sibling
-    follows: dict[int, int] = {}
-    orphans = []  # kept children of unmarked nodes
-    lasts = []  # (kept last child of an unmarked node, what follows it)
-    for x in dropped:
-        s = next_sibling[x]
-        if s == -1 and not marks[parent[x]]:
-            s = follows[parent[x]]
-        follows[x] = s
-        c = first_child[x]
-        while c != -1:
-            if marks[c]:
-                orphans.append(c)
-            last = c
-            c = next_sibling[c]
-        if marks[last]:
-            lasts.append((last, s))
-    for x in reversed(dropped):  # a child's entry is final before its parent's
-        newid[x] = newid[first_child[x]]
-    new_next = array("i", map(remap, compress(next_sibling, marks)))
-    for c, s in lasts:
-        new_next[newid[c]] = newid[s]
-    for v in islice(t.leaf_of, 1, None):  # every leaf is a whole string
-        if first_child[v] == -1:
-            new_first[newid[v]] = -1
-
     for x in dropped:  # a parent's entry is final before its child's
         newid[x] = newid[parent[x]]
-    new_parent = array("i", map(remap, compress(parent, marks)))
-
-    new_depth = kept_runs(t.depth)
-    new_start = kept_runs(t.start)
-    new_edge_byte = kept_runs(t.edge_byte)
-    strings = t.strings.strings
-    for c in orphans:
-        nc = newid[c]
-        new_edge_byte[nc] = strings[new_start[nc] - 1][new_depth[new_parent[nc]]]
 
     return OverlapTrie(
         kind=new_kind,
         strings=t.strings,
-        parent=new_parent,
-        depth=new_depth,
+        parent=array("i", map(remap, compress(parent, marks))),
+        depth=kept_runs(t.depth),
         suffix_link=new_sl,
-        first_child=new_first,
-        next_sibling=new_next,
-        edge_byte=new_edge_byte,
         string_of=kept_runs(t.string_of),
-        start=new_start,
+        start=kept_runs(t.start),
         end=kept_runs(t.end),
         leaf_of=new_leaf_of,
     )
@@ -612,12 +572,16 @@ _SMALL_AUDIT_NODES = 4000  # full suffix-link maximality audit below this size
 def verify_structure(t: OverlapTrie) -> list[str]:
     """Audit every structural invariant; return human-readable violations.
 
-    An empty list means the structure passed.  Checks cover tree shape,
-    depth/label consistency, child ordering, suffix-link validity, interval
-    exactness and the string/leaf maps.  Suffix-link *maximality* (no longer
-    proper suffix exists as a node) needs all node strings, so it runs only
-    on structures up to ``_SMALL_AUDIT_NODES`` nodes; the suffix *property*
-    itself is always checked.
+    An empty list means the structure passed; a corrupted one yields
+    violations, not an exception.  Checks cover tree shape, depth/label
+    consistency, child ordering, suffix-link validity, interval exactness
+    and the string/leaf maps.  Child lists are built from the parents that
+    pass the shape check, so every node is in exactly one of them, and a
+    node's strings are read only where its ``start`` names a string.
+    Suffix-link *maximality* (no longer proper suffix exists as a node)
+    needs all node strings, so it runs only on structures up to
+    ``_SMALL_AUDIT_NODES`` nodes; the suffix *property* itself is always
+    checked.
     """
     out: list[str] = []
     n = t.n_nodes
@@ -635,25 +599,27 @@ def verify_structure(t: OverlapTrie) -> list[str]:
     if n > 1 and (t.start[0] != 1 or t.end[0] != k):
         out.append(f"root interval is [{t.start[0]},{t.end[0]}], expected [1,{k}]")
 
+    # node_string and edge_label read string(start[v]); the root reads none
+    spelled = bytearray(1 <= j <= k for j in t.start)
+    spelled[0] = 1
+    children: list[list[int]] = [[] for _ in range(n)]
     for v in range(1, n):
         p = t.parent[v]
         if not 0 <= p < v:
             out.append(f"node {v}: parent {p} does not precede it")
             continue
+        children[p].append(v)
         lab_len = t.depth[v] - t.depth[p]
         if lab_len < 1:
             out.append(f"node {v}: depth {t.depth[v]} not deeper than parent {p}")
         if t.kind == KIND_ACT and lab_len != 1:
             out.append(f"node {v}: act edge label has length {lab_len}")
-        lab = t.edge_label(v)
-        if lab_len >= 1 and t.edge_byte[v] != lab[0]:
-            out.append(f"node {v}: edge_byte {t.edge_byte[v]} != label byte {lab[0]}")
         u = t.suffix_link[v]
         if not 0 <= u < n:
             out.append(f"node {v}: suffix link {u} out of range")
         elif t.depth[u] >= t.depth[v]:
             out.append(f"node {v}: suffix link {u} is not shallower")
-        else:
+        elif spelled[v] and spelled[u]:
             s = t.node_string(v)
             if t.node_string(u) != s[len(s) - t.depth[u] :]:
                 out.append(f"node {v}: suffix link {u} is not a suffix of it")
@@ -662,17 +628,14 @@ def verify_structure(t: OverlapTrie) -> list[str]:
         elif not (t.start[p] <= t.start[v] and t.end[v] <= t.end[p]):
             out.append(f"node {v}: interval escapes parent {p}'s interval")
 
-    # child chains: ascending labels, disjoint ascending intervals, parent consistency
-    seen_child = bytearray(n)
+    # child lists: ascending labels, disjoint ascending intervals; a child
+    # whose start names no string was reported as malformed above
     for v in range(n):
         prev_lab: bytes | None = None
         prev_end = 0
-        for c in t.children(v):
-            if seen_child[c]:
-                out.append(f"node {c}: appears in two child chains")
-            seen_child[c] = 1
-            if t.parent[c] != v:
-                out.append(f"node {c}: in child chain of {v} but parent is {t.parent[c]}")
+        for c in children[v]:
+            if not spelled[c]:
+                continue
             lab = t.edge_label(c)
             if prev_lab is not None and lab <= prev_lab:
                 out.append(f"node {v}: children out of lexicographic order at {c}")
@@ -680,22 +643,21 @@ def verify_structure(t: OverlapTrie) -> list[str]:
                 out.append(f"node {v}: child intervals overlap/regress at {c}")
             prev_lab = lab
             prev_end = t.end[c]
-    for v in range(1, n):
-        if not seen_child[v]:
-            out.append(f"node {v}: missing from its parent's child chain")
 
     # string and leaf maps
     for j in range(1, k + 1):
         v = t.leaf_of[j]
         if not 0 <= v < n or t.string_of[v] != j:
             out.append(f"string {j}: leaf_of/string_of mismatch at node {v}")
-        elif t.node_string(v) != ss.string(j):
+        elif spelled[v] and t.node_string(v) != ss.string(j):
             out.append(f"string {j}: node {v} spells a different string")
     for v in range(n):
-        if t.first_child[v] == -1 and t.string_of[v] == -1:
-            out.append(f"node {v}: leaf without a whole string")
         j = t.string_of[v]
-        if j != -1 and t.leaf_of[j] != v:
+        if not children[v] and j == -1:
+            out.append(f"node {v}: leaf without a whole string")
+        if j != -1 and not 1 <= j <= k:
+            out.append(f"node {v}: string_of={j} is not a string index 1..{k}")
+        elif j != -1 and t.leaf_of[j] != v:
             out.append(f"node {v}: string_of={j} but leaf_of[{j}]={t.leaf_of[j]}")
 
     # interval exactness against a fresh recomputation
@@ -713,8 +675,9 @@ def verify_structure(t: OverlapTrie) -> list[str]:
                     )
                     break
 
-    # suffix-link maximality (exhaustive, small structures only)
-    if n <= _SMALL_AUDIT_NODES:
+    # suffix-link maximality (exhaustive, small structures only, and only
+    # where every node spells a string)
+    if n <= _SMALL_AUDIT_NODES and all(spelled):
         by_string = {t.node_string(v): v for v in range(n)}
         for v in range(1, n):
             s = t.node_string(v)

@@ -293,6 +293,30 @@ def test_cli_compare_suppresses_report_on_mismatch(monkeypatch, capsys):
     assert "agree" not in out.out  # no report at all on stdout
 
 
+def test_cli_compare_fails_when_fewer_than_two_finish(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(baselines.MARKERS, "slowpoke", slow_marker)
+    rc = main([
+        "compare", "--random", "6", "48", "--algos", "new,slowpoke", "--reps", "1",
+        "--csv", str(tmp_path / "rows.csv"),
+    ])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.startswith("error: nothing to compare: slowpoke timed out")
+    assert "agree" not in out.out
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_cli_compare_counts_the_vectors_compared(monkeypatch, capsys):
+    monkeypatch.setitem(baselines.MARKERS, "slowpoke", slow_marker)
+    rc = main([
+        "compare", "--random", "6", "48", "--algos", "new,slowpoke,khan", "--reps", "1",
+    ])
+    assert rc == 0
+    assert "mark vectors: 2 of 3 compared, all agree (slowpoke timed out)" in (
+        capsys.readouterr().out
+    )
+
+
 def test_cli_sweep_writes_rows(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([

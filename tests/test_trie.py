@@ -34,6 +34,9 @@ FIG1_ACT_STRINGS = {
     b"d", b"db", b"dbd", b"dbda", b"dbdaa",
 }
 
+#: every per-node name of a trie: the stored columns, then the derived ones
+NAMES = COLUMNS + ("first_child", "next_sibling", "edge_byte")
+
 small_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=8).map(str.encode),
     min_size=1,
@@ -212,14 +215,14 @@ def test_large_read_set_suffix_links_match_breadth_first():
 def naive_columns(ss):
     """Reference for build_act's insertion: a dict trie of every prefix,
     numbered by a recursive pre-order walk with children by ascending byte.
-    Returns every column but ``suffix_link``."""
+    Returns every name in ``NAMES`` but ``suffix_link``."""
     root = {}
     for s in ss.strings:
         node = root
         for b in s:
             node = node.setdefault(b, {})
     index = {s: j for j, s in enumerate(ss.strings, 1)}
-    cols = {c: array("i") for c in COLUMNS if c != "suffix_link"}
+    cols = {c: array("i") for c in NAMES if c != "suffix_link"}
     cols["leaf_of"] = array("i", [-1]) * (ss.k + 1)
 
     def visit(children, x, p):
@@ -291,14 +294,20 @@ def test_contract_of_all_marked_is_an_independent_copy():
     assert t.kind == KIND_EHOG
     assert t.strings is act.strings
     assert verify_structure(t) == []
-    columns = ("parent", "depth", "suffix_link", "first_child", "next_sibling",
-               "edge_byte", "string_of", "start", "end", "leaf_of")
+    columns = ("parent", "depth", "suffix_link", "string_of", "start", "end", "leaf_of")
     assert COLUMNS == columns
-    before = {c: array("i", getattr(act, c)) for c in columns}
-    for c in columns:
+    before = {c: array("i", getattr(act, c)) for c in NAMES}
+    for c in NAMES:
         assert getattr(t, c) == before[c]
+    for c in columns:
         getattr(t, c)[-1] += 1
         assert getattr(act, c) == before[c]
+    # a derived name is built afresh on every read
+    for c in NAMES[len(columns):]:
+        first = getattr(act, c)
+        first[-1] += 1
+        assert getattr(act, c) == before[c] != first
+
 
 def test_contract_keeps_only_marked_nodes():
     e = build_ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
@@ -326,7 +335,7 @@ def test_contracted_siblings_may_share_first_byte():
     # two whole strings and both labels start with 'a'
     e = build_ehog_of([b"ab", b"ac"])
     assert node_strings(e) == {b"", b"ab", b"ac"}
-    labels = sorted(e.edge_label(c) for c in e.children(0))
+    labels = sorted(e.edge_label(c) for c in range(e.n_nodes) if e.parent[c] == 0)
     assert labels == [b"ab", b"ac"]
     assert verify_structure(e) == []
 
@@ -380,25 +389,31 @@ def test_contract_matches_node_string_oracle(case):
     ss = act.strings
     assert verify_structure(act) == []
     kept = sorted(act.node_string(v) for v in range(act.n_nodes) if marks[v])
-    t = contract(act, marks, KIND_HOG)
-    # pre-order with label-ordered children is lexicographic order
-    assert [t.node_string(v) for v in range(t.n_nodes)] == kept
     ids = {x: v for v, x in enumerate(kept)}
-    for v, x in enumerate(kept):
-        up = [x[:i] for i in range(len(x)) if x[:i] in ids]
-        down = [x[i:] for i in range(1, len(x) + 1) if x[i:] in ids]
-        covered = [j for j in range(1, ss.k + 1) if ss.string(j).startswith(x)]
-        assert t.parent[v] == (ids[up[-1]] if x else -1)
-        assert t.suffix_link[v] == (ids[down[0]] if x else 0)
-        assert t.depth[v] == len(x)
-        assert (t.start[v], t.end[v]) == (covered[0], covered[-1])
-        assert t.string_of[v] == (ss.strings.index(x) + 1 if x in ss.strings else -1)
-        if x:
-            assert t.edge_byte[v] == x[len(up[-1])]
-        children = [c for c in range(t.n_nodes) if t.parent[c] == v]
-        assert list(t.children(v)) == children  # ascending ids = label order
-    assert list(t.leaf_of) == [-1] + [ids[s] for s in ss.strings]
-    assert verify_structure(t) == []
+    ups = [max((x[:i] for i in range(len(x)) if x[:i] in ids), key=len, default=None)
+           for x in kept]
+    for t in (contract_by_splice(act, marks, KIND_HOG), contract_by_gather(act, marks, KIND_HOG)):
+        # pre-order with label-ordered children is lexicographic order
+        assert [t.node_string(v) for v in range(t.n_nodes)] == kept
+        first_child, next_sibling, edge_byte = t.first_child, t.next_sibling, t.edge_byte
+        assert next_sibling[0] == edge_byte[0] == -1
+        for v, (x, up) in enumerate(zip(kept, ups)):
+            down = [x[i:] for i in range(1, len(x) + 1) if x[i:] in ids]
+            covered = [j for j in range(1, ss.k + 1) if ss.string(j).startswith(x)]
+            assert t.parent[v] == (ids[up] if x else -1)
+            assert t.suffix_link[v] == (ids[down[0]] if x else 0)
+            assert t.depth[v] == len(x)
+            assert (t.start[v], t.end[v]) == (covered[0], covered[-1])
+            assert t.string_of[v] == (ss.strings.index(x) + 1 if x in ss.strings else -1)
+            if x:
+                assert edge_byte[v] == x[len(up)]
+            # ascending ids = label order
+            children = [c for c, y in enumerate(ups) if y == x]
+            assert first_child[v] == (children[0] if children else -1)
+            for c, after in zip(children, children[1:] + [-1]):
+                assert next_sibling[c] == after
+        assert list(t.leaf_of) == [-1] + [ids[s] for s in ss.strings]
+        assert verify_structure(t) == []
 
 
 # -- the two contraction routes -------------------------------------------------
@@ -455,8 +470,8 @@ def test_contract_splice_is_linear_when_a_wide_node_gains_many_children():
     assert dropped >= 250
     h = assert_routes_agree(e, marks)
     assert verify_structure(h) == []
-    assert sum(1 for _ in h.children(0)) > 250
-    # Python lines run by the splice: about 9 per node here, while a walk of
+    assert h.parent.count(0) > 250
+    # Python lines run by the splice: about 5 per node here, while a walk of
     # the root's 257-child list per dropped node would take over 40 per node
     lines = 0
 
@@ -532,6 +547,17 @@ def test_audit_catches_bad_parent_depth():
     act = fig1_act()
     v = [act.node_string(u) for u in range(act.n_nodes)].index(b"aab")
     act.depth[v] = 7
+    assert verify_structure(act) != []
+
+
+@pytest.mark.parametrize("column, v, value", [
+    ("parent", 5, 99),  # the interval recomputation would fold into node 99
+    ("string_of", 4, 9),  # the string map would read leaf_of[9]
+    ("start", 4, 0),  # the label checks would read string 0
+])
+def test_audit_reports_out_of_range_values(column, v, value):
+    act = fig1_act()
+    getattr(act, column)[v] = value
     assert verify_structure(act) != []
 
 
