@@ -74,6 +74,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[StringSet, str, int | None]
             ss = load_lines(args.input)
         return ss, os.path.basename(args.input), None
     if args.random:
+        if args.format == "fasta":
+            raise ValueError("--format fasta only applies to --input")
+        if args.filter:
+            raise ValueError("--filter only applies to --input with --format fasta")
         k, n = args.random
         ss = generate_random(k, n, args.alphabet.encode("latin-1"), args.seed)
         return ss, f"random-k{k}-n{n}", args.seed

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .trie import MarkVector, OverlapTrie
 
@@ -66,47 +67,50 @@ class FavStructure:
 
 
 def precompute_fav(t: OverlapTrie) -> FavStructure:
-    """Build :class:`FavStructure` for ``t`` in four linear sweeps.
+    """Build :class:`FavStructure` for ``t`` in three linear sweeps.
 
     A node is *favoured* when it has ≥ 2 children or is a whole string
     (leaves are whole strings, so every chain bottoms out at a favoured
     node).  ``base_count[v]`` = number of children, plus 1 if ``v`` is a
     whole string — the extra unit stands for ``v`` itself as an overlap
     target, and is what lets a string node report "still white" even when
-    all its child subtrees are blackened.
+    all its child subtrees are blackened.  So ``v`` is favoured exactly when
+    ``base_count[v] != 1`` or it is a whole string.  A count is at most the
+    alphabet size plus one, 257, so both counters are ``array('H')``.
     """
     if t.kind not in ("act", "ehog"):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     n = t.n_nodes
     parent = t.parent
     string_of = t.string_of
-    child_cnt = array("i", bytes(4 * n))
-    for v in range(1, n):
-        child_cnt[parent[v]] += 1
+    base = array("H", [0]) * n
+    for p in islice(parent, 1, None):
+        base[p] += 1
+    for v in islice(t.leaf_of, 1, None):
+        base[v] += 1
 
-    base = array("i", child_cnt)
-    favoured = bytearray(n)
-    for v in range(n):
-        if string_of[v] != -1:
-            base[v] += 1
-            favoured[v] = 1
-        elif child_cnt[v] >= 2:
-            favoured[v] = 1
-
-    fav_desc = array("i", bytes(4 * n))
-    for v in range(n - 1, -1, -1):
+    fav_desc = array("i", [0]) * n
+    f = n
+    for v, b, j in zip(range(n - 1, -1, -1), reversed(base), reversed(string_of)):
         # non-favoured nodes have exactly one child (0 children implies a
         # leaf, and leaves are whole strings, hence favoured), and in
         # pre-order that child is v + 1
-        fav_desc[v] = v if favoured[v] else fav_desc[v + 1]
+        if b != 1 or j != -1:
+            f = v
+        fav_desc[v] = f
 
-    fav_panc = array("i", bytes(4 * n))
-    for v in range(1, n):
-        p = parent[v]
-        fav_panc[v] = p if (p == 0 or favoured[p]) else fav_panc[p]
+    # u + 1 opens a chain when u is favoured, and its parent is then its
+    # nearest favoured ancestor (or the root); the rest of the chain, down
+    # to its favoured bottom, shares that value
+    fav_panc = array("i", [0]) * n
+    panc = 0
+    for u, p, bottom in zip(range(n), islice(parent, 1, None), fav_desc):
+        if bottom == u:
+            panc = p
+        fav_panc[u + 1] = panc
 
     return FavStructure(
-        count=array("i", base),
+        count=array("H", base),
         base_count=base,
         fav_desc=fav_desc,
         fav_panc=fav_panc,

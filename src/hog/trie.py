@@ -187,6 +187,35 @@ def _lcp(a: bytes, b: bytes) -> int:
     return m - 1 - (diff.bit_length() - 1) // 8 if diff else m
 
 
+def _iota(n: int) -> array:
+    """``array("i", range(n))``, written one byte plane at a time.
+
+    Byte ``p`` of id ``i`` is ``(i >> 8p) & 255``.  Over each block of 2**16
+    ids the two low planes are the same two 64 KiB patterns and each higher
+    plane is one constant, so each plane of a block is one strided copy into
+    a byte view of a zeroed column (a zero plane is skipped).  No Python int
+    is made per id, and no temporary exceeds 64 KiB.
+    """
+    out = array("i", [0]) * n
+    width = out.itemsize
+    block = 1 << 16
+    low_planes = (bytes(range(256)) * 256, b"".join(bytes((b,)) * 256 for b in range(256)))
+    with memoryview(out) as ints, ints.cast("B") as octets:
+        for a in range(0, n, block):
+            m = min(block, n - a)
+            for p in range(width):
+                if p < 2:
+                    plane = low_planes[p]
+                elif (a >> 8 * p) & 255:
+                    plane = bytes(((a >> 8 * p) & 255,)) * m
+                else:
+                    continue
+                byte = p if sys.byteorder == "little" else width - 1 - p
+                with memoryview(plane) as view:
+                    octets[width * a + byte : width * (a + m) : width] = view[:m]
+    return out
+
+
 def build_act(ss: StringSet) -> OverlapTrie:
     """Build the one-character-per-edge trie of all prefixes, with suffix links.
 
@@ -198,8 +227,9 @@ def build_act(ss: StringSet) -> OverlapTrie:
     hence the node count, and fills whole columns as they are inside a tail
     (the parent is the node before, the first child the node after, no
     sibling, no whole string).  The second walks the path to the previous
-    string: it mends each tail's two ends and appends the ``depth`` and
-    ``start`` slices and the label bytes.  A fresh node's leaf interval starts
+    string: it mends each tail's two ends and writes the ``depth`` and
+    ``start`` slices and the label bytes into columns sized by the first, so
+    no column grows by reallocation.  A fresh node's leaf interval starts
     at the string that created it and ends at the last string inserted before
     it leaves the path; the nodes that leave together form one run of
     consecutive ids per tail on the path, so ``end`` is set one run at a time.
@@ -225,7 +255,9 @@ def build_act(ss: StringSet) -> OverlapTrie:
     firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
     n_nodes = firsts[-1]
     longest = max(lens)
-    iota = array("i", range(n_nodes + 1))  # every slice copy below reads it
+    # the ids 0..n_nodes, which every slice copy below reads, made without
+    # a Python int per id
+    iota = _iota(n_nodes + 1)
 
     # whole columns, as they are inside a tail; pass 2 mends its two ends
     parent = array("i", [-1]) + iota[: n_nodes - 1]
@@ -235,9 +267,9 @@ def build_act(ss: StringSet) -> OverlapTrie:
     end = array("i", [k]) * n_nodes  # nodes still on the path at the end
     leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
     leaf_of[0] = -1
-    depth = array("i", [0])
-    start = array("i", [1])
-    labels = bytearray()
+    depth = array("i", [0]) * n_nodes
+    start = array("i", [1]) * n_nodes
+    labels = bytearray(n_nodes - 1)  # labels[v - 1]: node v's edge byte
 
     # pass 2, path bookkeeping: the path to the previous string is one run
     # of consecutive ids per tail on it, runs[i] the depth where run i
@@ -265,9 +297,9 @@ def build_act(ss: StringSet) -> OverlapTrie:
         parent[node] = v
         first_child[leaf] = -1
         string_of[leaf] = j
-        depth += iota[lcp + 1 : length + 1]
-        start += iota[j : j + 1] * (length - lcp)
-        labels += s[lcp:]
+        depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
+        start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
+        labels[node - 1 : leaf] = s[lcp:]
         path += iota[node : leaf + 1]
         runs.append(lcp + 1)
     # each label byte goes to the low byte of its int, written in place
@@ -429,10 +461,11 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     Every marked node's new parent is found with a stack over the kept nodes
     in pre-order: leaf intervals are laminar, so a stacked node that is not
     an ancestor ends before the next kept node starts.  Suffix links are
-    re-resolved by chasing old links until a marked node is hit (memoized in
-    the id map, so the chase is linear overall).  The Python-level work is
-    O(kept nodes + unmarked nodes on suffix chases); the only pass over all
-    ``n`` nodes is a C-level scan of the mark vector.  The marks are not
+    mapped through the id map; only a link whose target was dropped is
+    re-resolved, by chasing old links until a marked node is hit (memoized
+    in the id map, so the chase is linear overall).  The Python-level work
+    is O(kept nodes + unmarked nodes on suffix chases); the only pass over
+    all ``n`` nodes is a C-level scan of the mark vector.  The marks are not
     checked: :func:`contract` does that.
     """
     n = t.n_nodes
@@ -455,12 +488,15 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
         new_parent[nv] = stack[-1]
         stack.append(nv)
 
-    # suffix links: chase old links to the first marked node; newid doubles
-    # as the memo, resolving each unmarked node on a chase to its target
+    # suffix links: each kept node's old target, mapped to its new id.  A
+    # target that was dropped maps to -1 and is chased to the first marked
+    # node on its suffix chain; newid doubles as the memo, resolving each
+    # unmarked node on a chase to its target.  On the extended step there is
+    # none: its node set is closed under suffix links.
     suffix_link = t.suffix_link
-    new_sl = array("i", bytes(4 * m))
+    new_sl = array("i", map(newid.__getitem__, map(suffix_link.__getitem__, kept)))
     trail: list[int] = []
-    for nv in range(1, m):
+    for nv in compress(count(), map((-1).__eq__, new_sl)):
         w = suffix_link[kept[nv]]
         while newid[w] == -1:
             trail.append(w)
@@ -473,6 +509,10 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
 
     new_leaf_of = array("i", [-1])
     new_leaf_of.extend(map(newid.__getitem__, islice(t.leaf_of, 1, None)))
+    # the k whole strings are the only nodes with a string_of to carry
+    new_string_of = array("i", [-1]) * m
+    for j, nv in enumerate(islice(new_leaf_of, 1, None), 1):
+        new_string_of[nv] = j
 
     return OverlapTrie(
         kind=new_kind,
@@ -480,7 +520,7 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
         parent=new_parent,
         depth=array("i", map(t.depth.__getitem__, kept)),
         suffix_link=new_sl,
-        string_of=array("i", map(t.string_of.__getitem__, kept)),
+        string_of=new_string_of,
         start=new_start,
         end=new_end,
         leaf_of=new_leaf_of,
@@ -523,7 +563,7 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     # a kept node's new id is its old id minus the drops before it; runs are
     # copied down from the identity, last run first, so every source is
     # still untouched; entry n is -1, so -1 maps to -1
-    newid = array("i", range(n + 1))
+    newid = _iota(n + 1)
     for i in range(len(dropped), 0, -1):
         a = dropped[i - 1] + 1
         b = ends[i - 1]

@@ -252,6 +252,22 @@ def test_cli_rejects_zero_reps_before_building(monkeypatch, tmp_path, capsys, co
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "compare", "query"])
+@pytest.mark.parametrize("flags, message", [
+    (["--filter", "AC"], "error: --filter only applies to --input with --format fasta\n"),
+    (["--format", "fasta"], "error: --format fasta only applies to --input\n"),
+], ids=["filter", "format-fasta"])
+def test_cli_rejects_input_options_with_random(tmp_path, capsys, command, flags, message):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("A 1\n")
+    extra = ["--batch", str(batch)] if command == "query" else ["--reps", "1"]
+    rc = main([command, "--random", "10", "100", *flags, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == message
+    assert captured.out == ""  # nothing was built
+
+
 def test_cli_compare_agreement_line(capsys):
     rc = main([
         "compare", "--random", "30", "300", "--seed", "5",

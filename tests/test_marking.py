@@ -9,7 +9,7 @@ from hog.ehog import mark_ehog
 from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
 from hog.verify import FAMILIES
-from test_trie import sampled_reads
+from test_trie import full_byte_sets, reads_shaped_set, sampled_reads
 
 string_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=10).map(str.encode),
@@ -78,6 +78,57 @@ def test_fav_structure_on_fig1():
     assert fav.fav_panc[by[b"aabaa"]] == by[b"aa"]
     assert fav.fav_panc[by[b"dbdaa"]] == 0
     assert fav.fav_panc[by[b"aa"]] == 0
+
+
+def assert_fav_matches_naive(t):
+    """``precompute_fav`` against the definitions, node by node."""
+    n = t.n_nodes
+    children = [0] * n
+    for v in range(1, n):
+        children[t.parent[v]] += 1
+    whole = [t.string_of[v] != -1 for v in range(n)]
+    favoured = [children[v] >= 2 or whole[v] for v in range(n)]
+    fav = precompute_fav(t)
+    assert list(fav.base_count) == [children[v] + whole[v] for v in range(n)]
+    assert fav.count == fav.base_count
+    assert fav.v_m == []
+    for v in range(n):
+        assert fav.fav_desc[v] == next(u for u in range(v, n) if favoured[u])
+        u = t.parent[v]
+        while u > 0 and not favoured[u]:
+            u = t.parent[u]
+        assert fav.fav_panc[v] == max(u, 0)
+
+
+@given(string_sets | sampled_reads() | full_byte_sets)
+@settings(max_examples=300, deadline=None)
+def test_fav_structure_matches_naive(raw):
+    act = build_act(normalize(raw))
+    assert_fav_matches_naive(act)
+    assert_fav_matches_naive(contract(act, mark_ehog(act), KIND_EHOG))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fav_structure_matches_naive_on_families(family):
+    act = build_act(normalize(FAMILIES[family]))
+    assert_fav_matches_naive(act)
+    e = contract(act, mark_ehog(act), KIND_EHOG)
+    assert_fav_matches_naive(e)
+    if family == "full-bytes":
+        assert max(precompute_fav(e).base_count) == 256  # the root's children
+
+
+def test_fav_structure_matches_naive_on_a_reads_shaped_set():
+    assert_fav_matches_naive(ehog_of(reads_shaped_set()))
+
+
+def test_fav_base_count_of_a_whole_string_with_256_children():
+    # the largest count: every byte extends b"a", which is itself a string
+    act = build_act(normalize([b"a"] + [b"a" + bytes((b,)) for b in range(256)]))
+    e = contract(act, mark_ehog(act), KIND_EHOG)
+    for t in (act, e):
+        assert_fav_matches_naive(t)
+        assert max(precompute_fav(t).base_count) == 257
 
 
 def test_terminal_string_node_counts_itself():

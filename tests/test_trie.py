@@ -17,6 +17,7 @@ from hog.trie import (
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
+    _iota,
     _lcp,
     build_act,
     contract,
@@ -285,6 +286,21 @@ def test_lcp(m):
     assert _lcp(b"", a) == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537, 200003])
+def test_iota_matches_range(n):
+    assert _iota(n) == array("i", range(n))
+
+
+def test_iota_writes_the_fourth_byte_plane():
+    # past 2**24 ids the highest byte is nonzero: compare a strided sample and
+    # the tail, which crosses 2**24, not a second 64 MiB array
+    n = 2**24 + 70_001
+    ids = _iota(n)
+    assert len(ids) == n
+    assert ids[::9973] == array("i", range(0, n, 9973))
+    assert ids[-100_000:] == array("i", range(n - 100_000, n))
+
+
 # -- contraction --------------------------------------------------------------
 
 def test_contract_of_all_marked_is_an_independent_copy():
@@ -448,13 +464,17 @@ def test_contract_routes_agree_on_families(family):
         assert_routes_agree(e, sparse_marks(e, seed, share))
 
 
-def test_contract_routes_agree_on_a_reads_shaped_set():
-    # the size of the benchmark's reads workload: 400 reads of 500 bytes from
-    # a 5,000-byte genome, whose minimal step drops a handful of nodes
+def reads_shaped_set():
+    """The size of the benchmark's reads workload: 400 reads of 500 bytes
+    from a 5,000-byte genome."""
     rng = random.Random(7)
     genome = bytes(rng.choice(b"ACGT") for _ in range(5000))
-    reads = [genome[p : p + 500] for p in (rng.randrange(4501) for _ in range(400))]
-    e = build_ehog_of(reads)
+    return [genome[p : p + 500] for p in (rng.randrange(4501) for _ in range(400))]
+
+
+def test_contract_routes_agree_on_a_reads_shaped_set():
+    # its minimal step drops a handful of nodes
+    e = build_ehog_of(reads_shaped_set())
     assert 15_000 <= e.n_nodes <= 17_000
     hm = mark_hog_new(e)
     assert 0 < hm.count(0) < e.n_nodes // 100
