@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from itertools import islice
 from typing import Callable, Sequence
 
 from .marking import MarkTimeout, mark_hog_new
@@ -287,9 +288,9 @@ def mark_hog_khan(
     marks the active ones — each is the maximal overlap for the pairs whose
     ids it currently tops.
 
-    Ids are in pre-order, so the tour is one pass over ``0..n-1``: before
-    entering a node, the open nodes are left until the top of the root path
-    is the node's parent.
+    Ids are in pre-order, so the tour is one pass over ``0..n-1`` and meets
+    the whole strings in ``leaf_of`` order: before entering a node, the open
+    nodes are left until the top of the root path is the node's parent.
     """
     lists = build_suffix_lists(t)
     n = t.n_nodes
@@ -297,7 +298,8 @@ def mark_hog_khan(
     marks = bytearray(n)
     marks[0] = 1
     parent = t.parent
-    string_of = t.string_of
+    wholes = islice(t.leaf_of, 1, None)
+    whole = next(wholes)
     active = array("i", bytes(4 * n))
     tops: list[list[int]] = [[] for _ in range(k + 1)]
     path = [0]  # the open nodes; the root's suffix list is empty
@@ -318,7 +320,8 @@ def mark_hog_khan(
                 active[st[-1]] -= 1
             st.append(u)
             active[u] += 1
-        if string_of[u] != -1:
+        if u == whole:
+            whole = next(wholes, -1)
             marks[u] = 1
             for a in path:  # the root is never active, and is marked anyway
                 if active[a]:

@@ -53,18 +53,18 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
         metavar=("K", "N"),
         help="generate K random strings of total length N",
     )
-    g.add_argument(
-        "--alphabet", default="ACGT", help="alphabet for --random (default: ACGT)"
-    )
-    g.add_argument(
-        "--seed", type=int, default=42, help="generator seed (default: 42)"
-    )
+    # None tells a flag given with --input, which is an error, from none
+    g.add_argument("--alphabet", help="alphabet for --random (default: ACGT)")
+    g.add_argument("--seed", type=int, help="generator seed (default: 42)")
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[StringSet, str, int | None]:
     if args.input and args.random:
         raise ValueError("choose one of --input or --random, not both")
     if args.input:
+        for flag, value in (("--alphabet", args.alphabet), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} only applies to --random")
         if args.format == "fasta":
             filt = args.filter.encode("latin-1") if args.filter else None
             ss = load_fasta(args.input, filter_alphabet=filt)
@@ -79,8 +79,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[StringSet, str, int | None]
         if args.filter:
             raise ValueError("--filter only applies to --input with --format fasta")
         k, n = args.random
-        ss = generate_random(k, n, args.alphabet.encode("latin-1"), args.seed)
-        return ss, f"random-k{k}-n{n}", args.seed
+        alphabet = "ACGT" if args.alphabet is None else args.alphabet
+        seed = 42 if args.seed is None else args.seed
+        ss = generate_random(k, n, alphabet.encode("latin-1"), seed)
+        return ss, f"random-k{k}-n{n}", seed
     raise ValueError("no dataset given: use --input PATH or --random K N")
 
 

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from itertools import chain, islice
 
 from .trie import MarkVector, OverlapTrie
 
@@ -53,17 +53,12 @@ class MarkTimeout(RuntimeError):
 
 @dataclass(slots=True)
 class FavStructure:
-    """Precomputed shortcuts for lazy blackening on one trie.
+    """Precomputed shortcuts for lazy blackening on one trie; a marking
+    pass only reads them."""
 
-    ``count`` is live working state (always equal to ``base_count`` between
-    passes); ``v_m`` is the journal of counters touched by the current pass.
-    """
-
-    count: array
     base_count: array
     fav_desc: array
     fav_panc: array
-    v_m: list[int] = field(default_factory=list)
 
 
 def precompute_fav(t: OverlapTrie) -> FavStructure:
@@ -75,14 +70,15 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
     whole string — the extra unit stands for ``v`` itself as an overlap
     target, and is what lets a string node report "still white" even when
     all its child subtrees are blackened.  So ``v`` is favoured exactly when
-    ``base_count[v] != 1`` or it is a whole string.  A count is at most the
-    alphabet size plus one, 257, so both counters are ``array('H')``.
+    ``base_count[v] != 1`` or it has no child (a childless count of 1 is the
+    string itself); in pre-order ``v``'s only possible first child is
+    ``v + 1``, so that is ``parent[v + 1] != v``.  A count is at most the
+    alphabet size plus one, 257, so the counts are ``array('H')``.
     """
     if t.kind not in ("act", "ehog"):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     n = t.n_nodes
     parent = t.parent
-    string_of = t.string_of
     base = array("H", [0]) * n
     for p in islice(parent, 1, None):
         base[p] += 1
@@ -91,11 +87,10 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
 
     fav_desc = array("i", [0]) * n
     f = n
-    for v, b, j in zip(range(n - 1, -1, -1), reversed(base), reversed(string_of)):
-        # non-favoured nodes have exactly one child (0 children implies a
-        # leaf, and leaves are whole strings, hence favoured), and in
-        # pre-order that child is v + 1
-        if b != 1 or j != -1:
+    for v, b, p in zip(range(n - 1, -1, -1), reversed(base), chain((-1,), reversed(parent))):
+        # p is parent[v + 1] (-1 past the last node): with a count of 1, v is
+        # either a childless whole string (favoured) or has one child, v + 1
+        if b != 1 or p != v:
             f = v
         fav_desc[v] = f
 
@@ -110,7 +105,6 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
         fav_panc[u + 1] = panc
 
     return FavStructure(
-        count=array("H", base),
         base_count=base,
         fav_desc=fav_desc,
         fav_panc=fav_panc,
@@ -131,8 +125,7 @@ def mark_hog_new(
     docstring).  ``counters`` (when given) is filled with ``suffix_hops``
     (suffix-path nodes walked across all strings), ``count_updates``
     (counter writes on those walks, journal restores included) and
-    ``vm_lengths`` (per-string journal lengths, for bound checks).  ``fav``
-    is left as it was given: ``count == base_count`` and an empty ``v_m``.
+    ``vm_lengths`` (per-string journal lengths, for bound checks).
     """
     if t.kind not in ("act", "ehog"):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
@@ -145,11 +138,11 @@ def mark_hog_new(
     done[0] = 1
     sl = t.suffix_link
     leaf_of = t.leaf_of
-    count = fav.count
     base = fav.base_count
+    count = array("H", base)  # live counts; the journal vm restores them
     fdesc = fav.fav_desc
     fpanc = fav.fav_panc
-    vm = fav.v_m
+    vm: list[int] = []
     hops = 0
     updates = 0
     vm_lengths: list[int] | None = [] if counters is not None else None

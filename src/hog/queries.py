@@ -13,10 +13,10 @@ answered indices as sorted, disjoint runs.  Trie intervals are laminar and
 path depths fall, so a node's interval contains every earlier run it touches
 or misses them all: one ``bisect`` finds the contained runs, the gaps between
 them are the indices the node answers, and the runs merge into one.  A
-whole-string node ``v`` is the first string of its interval (``start[v] ==
-string_of[v]``) and no deeper path node covers that string, so skipping it
-trims the range to ``start[v] + 1 .. end[v]``.  Answers are read from the
-runs with slice work, never one Python step per index, and no state
+whole-string node ``v`` spells the first string of its interval
+(``leaf_of[start[v]] == v``) and no deeper path node covers that string, so
+skipping it trims the range to ``start[v] + 1 .. end[v]``.  Answers are read
+from the runs with slice work, never one Python step per index, and no state
 outlives a query.
 
 Query inputs are 1-based *original* (pre-deduplication) string positions;
@@ -63,7 +63,7 @@ class QueryEngine:
         because queries never write to the structure."""
         t = self.t
         crc = 0
-        for col in (t.depth, t.suffix_link, t.start, t.end, t.string_of, t.leaf_of):
+        for col in (t.depth, t.suffix_link, t.start, t.end, t.leaf_of):
             crc = zlib.crc32(col.tobytes(), crc)
         return crc
 
@@ -81,16 +81,18 @@ class QueryEngine:
         depth = t.depth
         start = t.start
         end = t.end
-        string_of = t.string_of
+        leaf_of = t.leaf_of
         los: list[int] = []
         his: list[int] = []
         n = 0
-        v = sl[t.leaf_of[si]]
+        v = sl[leaf_of[si]]
         while True:
             d = depth[v]
             if d < min_depth:
                 break
-            lo = start[v] + (string_of[v] != -1)
+            lo = start[v]
+            if leaf_of[lo] == v:
+                lo += 1
             hi = end[v]
             if lo <= hi:
                 a = bisect_left(los, lo)

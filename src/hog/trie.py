@@ -18,12 +18,14 @@ One class serves all three structure kinds used in this package:
     pairwise-overlap nodes.
 
 Nodes are identified by dense integer ids in DFS pre-order (the root is 0,
-parents precede children, children ascend lexicographically).  Seven
+parents precede children, children ascend lexicographically).  Six
 per-node attributes are stored in parallel ``array('i')`` columns, which
 keeps the ``act`` for megabyte-scale inputs within a few machine words per
 character.  Child lists and edge bytes are not stored: in pre-order they
 follow from ``parent`` (a node's children are the ids whose parent it is,
-in ascending order), and ``OverlapTrie`` derives them on request.
+in ascending order), and ``OverlapTrie`` derives them on request; so is
+``string_of``, the inverse of ``leaf_of``.  A string sorts first among those
+it prefixes, so ``v`` spells a string exactly when ``leaf_of[start[v]] == v``.
 
 Edge labels are never copied: the label of ``v`` is
 ``string(start[v])[depth[parent[v]]:depth[v]]``, a slice of one retained
@@ -42,7 +44,7 @@ nodes and rebuilds their links.
 Public API
 ----------
 OverlapTrie        container with navigation helpers and derived child lists
-COLUMNS            names of its seven stored per-node ``array('i')`` columns
+COLUMNS            names of its six stored per-node ``array('i')`` columns
 build_act          sorted strings -> ``act`` trie, intervals included
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
@@ -86,8 +88,6 @@ class OverlapTrie:
     - ``suffix_link``: id of the node holding the longest proper suffix of
       the node's path string that exists in this trie; the root links to
       itself.
-    - ``string_of``: sorted string index ``j`` if the node's path string is
-      exactly string ``j``, else ``-1``.
     - ``start`` / ``end``: the node's subtree covers exactly the sorted
       string indices ``start..end`` (1-based, inclusive); a node that *is*
       string ``j`` includes ``j`` in its own range.
@@ -95,8 +95,8 @@ class OverlapTrie:
       string ``j`` (despite the name this node may be internal when one
       input string is a prefix of another); entry 0 is unused.
 
-    ``first_child``, ``next_sibling`` and ``edge_byte`` are read-only
-    columns derived from the stored ones: each read builds a fresh array.
+    ``first_child``, ``next_sibling``, ``edge_byte`` and ``string_of`` are
+    derived read-only columns: each read builds a fresh array.
     """
 
     kind: str
@@ -104,7 +104,6 @@ class OverlapTrie:
     parent: array
     depth: array
     suffix_link: array
-    string_of: array
     start: array
     end: array
     leaf_of: array
@@ -154,6 +153,15 @@ class OverlapTrie:
             strings[s - 1][depth[p]]
             for s, p in zip(islice(self.start, 1, None), islice(self.parent, 1, None))
         )
+        return out
+
+    @property
+    def string_of(self) -> array:
+        """Per node, the sorted index ``j`` of the string it spells, or
+        ``-1``: the inverse of ``leaf_of``."""
+        out = array("i", [-1]) * len(self.parent)
+        for j, v in enumerate(islice(self.leaf_of, 1, None), 1):
+            out[v] = j
         return out
 
     def edge_label(self, v: int) -> bytes:
@@ -263,7 +271,6 @@ def build_act(ss: StringSet) -> OverlapTrie:
     parent = array("i", [-1]) + iota[: n_nodes - 1]
     first_child = iota[1:]
     next_sibling = array("i", [-1]) * n_nodes
-    string_of = array("i", [-1]) * n_nodes
     end = array("i", [k]) * n_nodes  # nodes still on the path at the end
     leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
     leaf_of[0] = -1
@@ -296,7 +303,6 @@ def build_act(ss: StringSet) -> OverlapTrie:
         leaf = node + length - lcp - 1
         parent[node] = v
         first_child[leaf] = -1
-        string_of[leaf] = j
         depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
         start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
         labels[node - 1 : leaf] = s[lcp:]
@@ -375,7 +381,6 @@ def build_act(ss: StringSet) -> OverlapTrie:
         parent=parent,
         depth=depth,
         suffix_link=suffix_link,
-        string_of=string_of,
         start=start,
         end=end,
         leaf_of=leaf_of,
@@ -389,18 +394,17 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
     recomputation is what ``verify_structure`` checks them against.  A
     single reverse-id sweep folds each node's range into its parent, which
     is correct because parents always precede children in id order (a
-    parent that does not raises ``ValueError``).  A node that is itself
-    string ``j`` seeds its own range with ``j``.
+    parent that does not raises ``ValueError``, as does a ``leaf_of`` entry
+    that names no node).  The node ``leaf_of[j]`` seeds its range with ``j``.
     """
     n = t.n_nodes
     start = array("i", [_INT_MAX]) * n if n else array("i")
     end = array("i", [-1]) * n if n else array("i")
-    string_of = t.string_of
-    for v in range(n):
-        j = string_of[v]
-        if j != -1:
-            start[v] = j
-            end[v] = j
+    for j, v in enumerate(islice(t.leaf_of, 1, None), 1):
+        if not 0 <= v < n:
+            raise ValueError(f"string {j}: leaf_of names node {v}, out of range")
+        start[v] = j
+        end[v] = j
     parent = t.parent
     for v in range(n - 1, 0, -1):
         p = parent[v]
@@ -509,10 +513,6 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
 
     new_leaf_of = array("i", [-1])
     new_leaf_of.extend(map(newid.__getitem__, islice(t.leaf_of, 1, None)))
-    # the k whole strings are the only nodes with a string_of to carry
-    new_string_of = array("i", [-1]) * m
-    for j, nv in enumerate(islice(new_leaf_of, 1, None), 1):
-        new_string_of[nv] = j
 
     return OverlapTrie(
         kind=new_kind,
@@ -520,7 +520,6 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
         parent=new_parent,
         depth=array("i", map(t.depth.__getitem__, kept)),
         suffix_link=new_sl,
-        string_of=new_string_of,
         start=new_start,
         end=new_end,
         leaf_of=new_leaf_of,
@@ -599,7 +598,6 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
         parent=array("i", map(remap, compress(parent, marks))),
         depth=kept_runs(t.depth),
         suffix_link=new_sl,
-        string_of=kept_runs(t.string_of),
         start=kept_runs(t.start),
         end=kept_runs(t.end),
         leaf_of=new_leaf_of,
@@ -615,7 +613,7 @@ def verify_structure(t: OverlapTrie) -> list[str]:
     An empty list means the structure passed; a corrupted one yields
     violations, not an exception.  Checks cover tree shape, depth/label
     consistency, child ordering, suffix-link validity, interval exactness
-    and the string/leaf maps.  Child lists are built from the parents that
+    and the string map.  Child lists are built from the parents that
     pass the shape check, so every node is in exactly one of them, and a
     node's strings are read only where its ``start`` names a string.
     Suffix-link *maximality* (no longer proper suffix exists as a node)
@@ -684,21 +682,22 @@ def verify_structure(t: OverlapTrie) -> list[str]:
             prev_lab = lab
             prev_end = t.end[c]
 
-    # string and leaf maps
-    for j in range(1, k + 1):
-        v = t.leaf_of[j]
-        if not 0 <= v < n or t.string_of[v] != j:
-            out.append(f"string {j}: leaf_of/string_of mismatch at node {v}")
-        elif spelled[v] and t.node_string(v) != ss.string(j):
+    # the string map: k distinct nodes, each first in its interval; all leaves
+    named = bytearray(n)
+    for j, v in enumerate(islice(t.leaf_of, 1, None), 1):
+        if not 0 <= v < n:
+            out.append(f"string {j}: leaf_of names node {v}, out of range")
+            continue
+        if named[v]:
+            out.append(f"string {j}: node {v} is named by an earlier string too")
+        named[v] = 1
+        if t.start[v] != j:
+            out.append(f"string {j}: node {v} starts its interval at {t.start[v]}")
+        elif t.node_string(v) != ss.string(j):
             out.append(f"string {j}: node {v} spells a different string")
     for v in range(n):
-        j = t.string_of[v]
-        if not children[v] and j == -1:
+        if not children[v] and not named[v]:
             out.append(f"node {v}: leaf without a whole string")
-        if j != -1 and not 1 <= j <= k:
-            out.append(f"node {v}: string_of={j} is not a string index 1..{k}")
-        elif j != -1 and t.leaf_of[j] != v:
-            out.append(f"node {v}: string_of={j} but leaf_of[{j}]={t.leaf_of[j]}")
 
     # interval exactness against a fresh recomputation
     try:
@@ -744,9 +743,10 @@ def to_text(t: OverlapTrie) -> str:
     """Stable, human-readable dump: one node per line in id (DFS) order."""
     lines = [f"# kind={t.kind} nodes={t.n_nodes} k={t.k} n={t.strings.n}"]
     lines.append("# id\tparent\tdepth\tlabel\tsuffix_link\tstart\tend\tstring_of")
+    string_of = t.string_of
     for v in range(t.n_nodes):
         lines.append(
             f"{v}\t{t.parent[v]}\t{t.depth[v]}\t{_fmt_label(t.edge_label(v))}\t"
-            f"{t.suffix_link[v]}\t{t.start[v]}\t{t.end[v]}\t{t.string_of[v]}"
+            f"{t.suffix_link[v]}\t{t.start[v]}\t{t.end[v]}\t{string_of[v]}"
         )
     return "\n".join(lines) + "\n"

@@ -268,6 +268,38 @@ def test_cli_rejects_input_options_with_random(tmp_path, capsys, command, flags,
     assert captured.out == ""  # nothing was built
 
 
+@pytest.mark.parametrize("command", ["build", "compare", "query"])
+@pytest.mark.parametrize("flags, message", [
+    (["--alphabet", "XY"], "error: --alphabet only applies to --random\n"),
+    (["--seed", "9"], "error: --seed only applies to --random\n"),
+], ids=["alphabet", "seed"])
+def test_cli_rejects_random_options_with_input(tmp_path, capsys, command, flags, message):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("A 1\n")
+    extra = ["--batch", str(batch)] if command == "query" else ["--reps", "1"]
+    rc = main([command, "--input", fig1_file(tmp_path), *flags, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == message
+    assert captured.out == ""  # nothing was built
+
+
+def test_cli_random_defaults_to_acgt_and_seed_42(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def recording_generator(k, n, alphabet, seed):
+        calls.append((k, n, alphabet, seed))
+        return generate_random(k, n, alphabet, seed)
+
+    monkeypatch.setattr(hog.cli, "generate_random", recording_generator)
+    out_csv = tmp_path / "row.csv"
+    assert main(["build", "--random", "10", "100", "--reps", "1", "--csv", str(out_csv)]) == 0
+    assert calls == [(10, 100, b"ACGT", 42)]
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["seed"] for r in rows] == ["42"]
+
+
 def test_cli_compare_agreement_line(capsys):
     rc = main([
         "compare", "--random", "30", "300", "--seed", "5",

@@ -36,7 +36,7 @@ FIG1_ACT_STRINGS = {
 }
 
 #: every per-node name of a trie: the stored columns, then the derived ones
-NAMES = COLUMNS + ("first_child", "next_sibling", "edge_byte")
+NAMES = COLUMNS + ("first_child", "next_sibling", "edge_byte", "string_of")
 
 small_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=8).map(str.encode),
@@ -100,9 +100,18 @@ def test_leaf_intervals_cover_whole_string_nodes():
 def test_leaf_intervals_rejects_childless_non_string_node():
     ss = normalize([b"ab"])
     act = build_act(ss)
-    v = [act.node_string(u) for u in range(act.n_nodes)].index(b"ab")
-    act.string_of[v] = -1  # now "a"/"ab" cover no string
-    with pytest.raises(ValueError):
+    names = [act.node_string(u) for u in range(act.n_nodes)]
+    act.leaf_of[1] = names.index(b"a")  # now the leaf "ab" covers no string
+    with pytest.raises(ValueError, match="no whole-string descendant"):
+        leaf_intervals(act)
+
+
+@pytest.mark.parametrize("v", [-1, 3, 99])
+def test_leaf_intervals_rejects_a_leaf_map_entry_out_of_range(v):
+    # verify_structure catches ValueError only, so no IndexError may escape
+    act = build_act(normalize([b"ab"]))
+    act.leaf_of[1] = v
+    with pytest.raises(ValueError, match="out of range"):
         leaf_intervals(act)
 
 
@@ -211,6 +220,40 @@ def test_large_read_set_suffix_links_match_breadth_first():
     assert act.suffix_link == bfs_suffix_links(act)
 
 
+# -- the string map -------------------------------------------------------------
+
+def assert_string_map(t):
+    """``leaf_of`` names each string's node, in ascending ids, first in its
+    interval; ``string_of`` is its inverse, and ``leaf_of[start[v]] == v``
+    tells the nodes that spell a string."""
+    ss = t.strings
+    leaf_of, start, string_of = t.leaf_of, t.start, t.string_of
+    assert len(leaf_of) == ss.k + 1 and leaf_of[0] == -1
+    assert all(start[leaf_of[j]] == j for j in range(1, ss.k + 1))
+    assert all(a < b for a, b in zip(leaf_of[1:], leaf_of[2:]))
+    index = {s: j for j, s in enumerate(ss.strings, 1)}
+    assert list(string_of) == [index.get(t.node_string(v), -1) for v in range(t.n_nodes)]
+    assert [leaf_of[start[v]] == v for v in range(t.n_nodes)] == [j != -1 for j in string_of]
+
+
+def assert_string_map_on_all_graphs(raw):
+    act = build_act(normalize(raw))
+    e = contract(act, mark_ehog(act), KIND_EHOG)
+    for t in (act, e, contract(e, mark_hog_new(e), KIND_HOG)):
+        assert_string_map(t)
+
+
+@given(small_sets | sampled_reads() | full_byte_sets)
+@settings(max_examples=150, deadline=None)
+def test_string_map_invariant(raw):
+    assert_string_map_on_all_graphs(raw)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_string_map_invariant_on_families(family):
+    assert_string_map_on_all_graphs(FAMILIES[family])
+
+
 # -- the insertion against a dict trie ------------------------------------------
 
 def naive_columns(ss):
@@ -310,7 +353,7 @@ def test_contract_of_all_marked_is_an_independent_copy():
     assert t.kind == KIND_EHOG
     assert t.strings is act.strings
     assert verify_structure(t) == []
-    columns = ("parent", "depth", "suffix_link", "string_of", "start", "end", "leaf_of")
+    columns = ("parent", "depth", "suffix_link", "start", "end", "leaf_of")
     assert COLUMNS == columns
     before = {c: array("i", getattr(act, c)) for c in NAMES}
     for c in NAMES:
@@ -412,6 +455,7 @@ def test_contract_matches_node_string_oracle(case):
         # pre-order with label-ordered children is lexicographic order
         assert [t.node_string(v) for v in range(t.n_nodes)] == kept
         first_child, next_sibling, edge_byte = t.first_child, t.next_sibling, t.edge_byte
+        string_of = t.string_of
         assert next_sibling[0] == edge_byte[0] == -1
         for v, (x, up) in enumerate(zip(kept, ups)):
             down = [x[i:] for i in range(1, len(x) + 1) if x[i:] in ids]
@@ -420,7 +464,7 @@ def test_contract_matches_node_string_oracle(case):
             assert t.suffix_link[v] == (ids[down[0]] if x else 0)
             assert t.depth[v] == len(x)
             assert (t.start[v], t.end[v]) == (covered[0], covered[-1])
-            assert t.string_of[v] == (ss.strings.index(x) + 1 if x in ss.strings else -1)
+            assert string_of[v] == (ss.strings.index(x) + 1 if x in ss.strings else -1)
             if x:
                 assert edge_byte[v] == x[len(up)]
             # ascending ids = label order
@@ -485,7 +529,7 @@ def test_contract_routes_agree_on_a_reads_shaped_set():
 def test_contract_splice_is_linear_when_a_wide_node_gains_many_children():
     # full-bytes: dropping the depth-1 nodes hands their children to the root
     e = build_ehog_of(FAMILIES["full-bytes"])
-    marks = bytearray(e.depth[v] != 1 or e.string_of[v] != -1 for v in range(e.n_nodes))
+    marks = bytearray(d != 1 or j != -1 for d, j in zip(e.depth, e.string_of))
     dropped = marks.count(0)
     assert dropped >= 250
     h = assert_routes_agree(e, marks)
@@ -517,7 +561,7 @@ def test_contract_route_follows_the_drop_count(monkeypatch):
             lambda t, marks, kind, name=name: routes.append((name, marks.count(0))),
         )
     n = e.n_nodes
-    droppable = [v for v in range(1, n) if e.string_of[v] == -1]
+    droppable = [v for v, j in enumerate(e.string_of) if v and j == -1]
     limit = int(hog.trie._SPLICE_MAX_DROP_SHARE * n)
     assert limit < len(droppable)
     for drops in (0, 1, limit, limit + 1, len(droppable)):
@@ -572,7 +616,7 @@ def test_audit_catches_bad_parent_depth():
 
 @pytest.mark.parametrize("column, v, value", [
     ("parent", 5, 99),  # the interval recomputation would fold into node 99
-    ("string_of", 4, 9),  # the string map would read leaf_of[9]
+    ("leaf_of", 1, 99),  # the string map and the intervals would read node 99
     ("start", 4, 0),  # the label checks would read string 0
 ])
 def test_audit_reports_out_of_range_values(column, v, value):
@@ -583,10 +627,26 @@ def test_audit_reports_out_of_range_values(column, v, value):
 
 def test_audit_catches_wrong_leaf_map():
     act = fig1_act()
+    act.leaf_of[1], act.leaf_of[2] = act.leaf_of[2], act.leaf_of[1]
+    assert any("starts its interval" in msg for msg in verify_structure(act))
+
+
+def test_audit_catches_a_leaf_map_entry_at_an_internal_node():
+    act = fig1_act()
     names = [act.node_string(u) for u in range(act.n_nodes)]
-    act.string_of[names.index(b"aabaa")] = 2
-    act.string_of[names.index(b"aadbd")] = 1
-    assert verify_structure(act) != []
+    v = act.leaf_of[1] = names.index(b"aaba")  # its interval starts at string 1 too
+    problems = verify_structure(act)
+    assert f"string 1: node {v} spells a different string" in problems
+    assert f"node {names.index(b'aabaa')}: leaf without a whole string" in problems
+
+
+def test_audit_catches_a_node_named_twice():
+    act = fig1_act()
+    names = [act.node_string(u) for u in range(act.n_nodes)]
+    act.leaf_of[2] = act.leaf_of[1]  # the leaf "aadbd" is left without a string
+    problems = verify_structure(act)
+    assert any("named by an earlier string" in msg for msg in problems)
+    assert f"node {names.index(b'aadbd')}: leaf without a whole string" in problems
 
 
 # -- serialization ------------------------------------------------------------
