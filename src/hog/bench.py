@@ -44,16 +44,25 @@ class BenchError(RuntimeError):
 def measure_peak_memory(fn: Callable[[], Any]) -> tuple[Any, int]:
     """Run ``fn`` under the allocation tracer.
 
-    Returns ``(result, peak_traced_bytes)``.  The traced figure counts
-    Python-level allocations only and is portable and repeatable.
+    Returns ``(result, peak_traced_bytes)``: the traced peak during the call
+    above what was traced when it began.  The traced figure counts
+    Python-level allocations only and is portable and repeatable.  Tracing
+    that was on already (``PYTHONTRACEMALLOC``, or a caller's own
+    ``tracemalloc.start()``) stays on, and what it traced before the call
+    does not count.
     """
     gc.collect()
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
     try:
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     return result, peak
 
 

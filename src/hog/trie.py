@@ -19,9 +19,11 @@ One class serves all three structure kinds used in this package:
 
 Nodes are identified by dense integer ids in DFS pre-order (the root is 0,
 parents precede children, children ascend lexicographically).  Six
-per-node attributes are stored in parallel ``array('i')`` columns, which
-keeps the ``act`` for megabyte-scale inputs within a few machine words per
-character.  Child lists and edge bytes are not stored: in pre-order they
+attributes are stored in parallel ``array('i')`` columns: five per node
+(20 bytes per node) and ``leaf_of``, one per string.  ``build_act``'s
+suffix-link pass holds 7 more bytes per node beside them (``next_sibling``,
+a 2-byte first-child label and the 1-byte edge labels), so its traced peak
+is about 28 bytes per node on random DNA and on reads.  Child lists and edge bytes are not stored: in pre-order they
 follow from ``parent`` (a node's children are the ids whose parent it is,
 in ascending order), and ``OverlapTrie`` derives them on request; so is
 ``string_of``, the inverse of ``leaf_of``.  A string sorts first among those
@@ -233,24 +235,31 @@ def build_act(ss: StringSet) -> OverlapTrie:
     pre-order.  The insertion takes two passes, so that per-node work happens
     only in C-level slice copies.  The first computes every lcp and tail,
     hence the node count, and fills whole columns as they are inside a tail
-    (the parent is the node before, the first child the node after, no
-    sibling, no whole string).  The second walks the path to the previous
-    string: it mends each tail's two ends and writes the ``depth`` and
-    ``start`` slices and the label bytes into columns sized by the first, so
-    no column grows by reallocation.  A fresh node's leaf interval starts
-    at the string that created it and ends at the last string inserted before
-    it leaves the path; the nodes that leave together form one run of
-    consecutive ids per tail on the path, so ``end`` is set one run at a time.
+    (the parent is the node before, no sibling, no whole string).  The second
+    walks the path to the previous string: it mends each tail's two ends and
+    writes the ``depth`` and ``start`` slices and the label bytes into
+    columns sized by the first, so no column grows by reallocation.  A fresh
+    node's leaf interval starts at the string that created it and ends at the
+    last string inserted before it leaves the path; the nodes that leave
+    together form one run of consecutive ids per tail on the path, so ``end``
+    is set one run at a time.
 
     Suffix links are then filled by the classic fallback chase over the
     parent's link, walking the nodes in id order: string by string, each
-    string's tail of fresh nodes top-down.  A chase that meets a link not
-    yet filled (a later string's tail) parks its node in a per-depth bucket
-    and skips the rest of that tail; the buckets are drained in ascending
-    depth, when every shallower link is final, each resuming its tail.  Where
-    a tail's links climb down the first-child chain of a target node (long
-    overlaps, as in reads from one genome), the rest of that run is found
-    with one byte-level lcp and copied with one slice.
+    string's tail of fresh nodes top-down.  Besides the output columns the
+    chase reads three: ``labels`` (1 byte per node, the edge byte of each
+    node), ``kid`` (2 bytes per node, the edge byte of a node's first child,
+    which in pre-order is the next id, or ``-1`` at a leaf) and
+    ``next_sibling`` (4 bytes per node), so a target's first child costs one
+    read and only its later children a sibling walk.  A chase that meets a
+    link not yet filled (a later string's tail) parks its node in a
+    per-depth bucket and skips the rest of that tail; the buckets are
+    drained in ascending depth, when every shallower link is final, each
+    resuming its tail.  Where a tail's links climb down the first-child chain
+    of a target node (long overlaps, as in reads from one genome), the rest
+    of that run is found with one byte-level lcp and copied with one slice:
+    along that chain each node's parent is the id before it, so the ids are
+    a slice of ``parent``.
     """
     k = ss.k
     if not k:
@@ -263,13 +272,12 @@ def build_act(ss: StringSet) -> OverlapTrie:
     firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
     n_nodes = firsts[-1]
     longest = max(lens)
-    # the ids 0..n_nodes, which every slice copy below reads, made without
-    # a Python int per id
+    # the ids 0..n_nodes, which pass 2's slice copies read, made without a
+    # Python int per id
     iota = _iota(n_nodes + 1)
 
     # whole columns, as they are inside a tail; pass 2 mends its two ends
     parent = array("i", [-1]) + iota[: n_nodes - 1]
-    first_child = iota[1:]
     next_sibling = array("i", [-1]) * n_nodes
     end = array("i", [k]) * n_nodes  # nodes still on the path at the end
     leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
@@ -298,24 +306,25 @@ def build_act(ss: StringSet) -> OverlapTrie:
             if top > lcp:
                 end[path[lcp + 1] : path[top] + 1] = last_run * (top - lcp)
             del path[lcp + 1 :]
-        else:
-            first_child[v] = node
         leaf = node + length - lcp - 1
         parent[node] = v
-        first_child[leaf] = -1
         depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
         start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
         labels[node - 1 : leaf] = s[lcp:]
         path += iota[node : leaf + 1]
         runs.append(lcp + 1)
-    # each label byte goes to the low byte of its int, written in place
-    # through a byte view: no second copy of the column at the build's peak
-    edge_byte = array("i", [0]) * n_nodes
-    edge_byte[0] = -1
-    width = edge_byte.itemsize
-    with memoryview(edge_byte) as ints, ints.cast("B") as octets:
-        octets[width + (0 if sys.byteorder == "little" else width - 1) :: width] = labels
-    del lcps, lens, firsts, labels
+    del lcps, lens, firsts, path, iota
+    # kid[w]: the edge byte of w's first child w + 1, or -1 at a leaf.  Each
+    # label byte goes to the low byte of its short through a byte view, with
+    # no Python int per node; then the leaves are set to -1: each is a
+    # string's last node that the next string does not extend, or the last id
+    kid = array("h", [0]) * n_nodes
+    with memoryview(kid) as shorts, shorts.cast("B") as octets:
+        octets[0 if sys.byteorder == "little" else 1 : 2 * n_nodes - 2 : 2] = labels
+    kid[-1] = -1
+    for v in islice(leaf_of, 1, k):
+        if parent[v + 1] != v:
+            kid[v] = -1
 
     suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
     suffix_link[0] = 0
@@ -327,11 +336,15 @@ def build_act(ss: StringSet) -> OverlapTrie:
         while c <= last:
             u = parent[c]
             if u:
-                b = edge_byte[c]
+                b = labels[c - 1]
                 w = suffix_link[u]
                 while w != -1:
-                    x = first_child[w]
-                    while x != -1 and edge_byte[x] != b:
+                    e = kid[w]
+                    if e == b:
+                        x = w + 1
+                        break
+                    x = -1 if e == -1 else next_sibling[w + 1]
+                    while x != -1 and labels[x - 1] != b:
                         x = next_sibling[x]
                     if x != -1 or w == 0:
                         break
@@ -370,7 +383,10 @@ def build_act(ss: StringSet) -> OverlapTrie:
                     if got < width:  # a mismatch, or the end of s or t
                         break
                     width *= 2
-                suffix_link[c + 1 : c + 1 + run] = iota[x + 1 : x + 1 + run]
+                # the chain's ids are x + 1 .. x + run, and each one's parent
+                # is the id before it
+                suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
+                suffix_link[c + run] = x + run
                 c += run
                 streak = 0
             c += 1

@@ -13,7 +13,7 @@ import random
 from collections.abc import Iterator
 
 from .baselines import algorithm_names, brute_force_ov, get_marker, ov_length
-from .datasets import SplitMix64, StringSet
+from .datasets import SplitMix64, StringSet, generate_random
 from .ehog import mark_ehog
 from .queries import QueryEngine
 from .trie import (
@@ -77,6 +77,8 @@ FAMILIES: dict[str, list[bytes]] = {
     "bytes-0-255-a": _random_bytes(1, 40),
     "bytes-0-255-b": _random_bytes(2, 40),
     "sampled-reads": _sampled_reads(1, 300, 100, 20, 200),
+    # the benchmark's random-DNA shape, small
+    "random-acgt": list(generate_random(60, 2_400, b"ACGT", 1).strings),
 }
 
 FIXED: list[list[bytes]] = [

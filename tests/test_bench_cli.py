@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,18 @@ def test_measure_peak_memory_is_deterministic():
     _, first = measure_peak_memory(fn)
     _, second = measure_peak_memory(fn)
     assert first == second
+
+
+def test_measure_peak_memory_counts_only_the_call_when_tracing_is_on():
+    tracemalloc.start()
+    try:
+        held = bytearray(1 << 20)  # traced before the call: not its peak
+        _, peak = measure_peak_memory(lambda: [0] * 1000)
+        assert peak < 64 * 1024
+        assert tracemalloc.is_tracing()  # the caller's tracing stays on
+        del held
+    finally:
+        tracemalloc.stop()
 
 
 def test_marking_peaks_reproduce_across_identical_builds():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hog.baselines import mark_hog_oracle
-from hog.datasets import StringSet, normalize
+from hog.bench import measure_peak_memory
+from hog.datasets import StringSet, generate_random, normalize
 from hog.ehog import mark_ehog
 from hog.marking import mark_hog_new
 import hog.trie
@@ -193,11 +194,30 @@ def sampled_reads(draw):
 full_byte_sets = st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=12)
 
 
-@given(sampled_reads() | full_byte_sets)
+@st.composite
+def equal_length_acgt_sets(draw):
+    """Random DNA of one length, the benchmark's shape: branching nodes
+    everywhere, so most links come from sibling walks and deferrals."""
+    length = draw(st.integers(1, 12))
+    return draw(st.lists(st.text(alphabet="ACGT", min_size=length, max_size=length)
+                         .map(str.encode), min_size=1, max_size=40))
+
+
+@given(sampled_reads() | full_byte_sets | equal_length_acgt_sets())
 @settings(max_examples=300, deadline=None)
 def test_suffix_links_match_breadth_first(raw):
     act = build_act(normalize(raw))
     assert act.suffix_link == bfs_suffix_links(act)
+
+
+def test_suffix_links_where_a_string_prefixes_the_next():
+    # "ACG" and "CG" each end at a node that the next string extends, so
+    # that node is a string's last node and has a child
+    raw = [b"ACG", b"ACGTA", b"ACGTT", b"CG", b"CGTAC", b"GTA", b"TAC"]
+    act = build_act(normalize(raw))
+    assert act.suffix_link == bfs_suffix_links(act)
+    assert not verify_structure(act)
+    assert_insertion_matches_naive(raw)
 
 
 def large_read_set():
@@ -218,6 +238,26 @@ def test_large_read_set_suffix_links_match_breadth_first():
     act = build_act(normalize(large_read_set()))
     assert act.n_nodes >= 20_000
     assert act.suffix_link == bfs_suffix_links(act)
+
+
+def test_random_dna_suffix_links_match_breadth_first():
+    # random text has few long runs, so this reaches the sibling walks and
+    # deferral buckets at scale where the read set reaches the run copies
+    ss = generate_random(250, 25_000, b"ACGT", 3)
+    act = build_act(ss)
+    assert act.n_nodes >= 20_000
+    assert act.suffix_link == bfs_suffix_links(act)
+    assert_insertion_matches_naive(ss.strings)
+
+
+def test_build_act_traced_peak_per_node():
+    # the suffix-link pass holds the output columns, next_sibling (4 bytes
+    # per node), kid (2) and labels (1); the returned trie holds 20
+    ss = generate_random(400, 40_000, b"ACGT", 7)
+    build_act(ss)  # the first call pays one-time allocations
+    act, peak = measure_peak_memory(lambda: build_act(ss))
+    assert act.n_nodes == 38_601
+    assert peak / act.n_nodes <= 30
 
 
 # -- the string map -------------------------------------------------------------
