@@ -29,11 +29,6 @@ from .ehog import EhogBuild, build_ehog
 from .marking import MarkTimeout
 from .trie import MarkVector, OverlapTrie
 
-CSV_HEADER = (
-    "dataset,k,n,nodes_act,nodes_ehog,nodes_hog,t_ehog_s,algo,t_mark_s,"
-    "peak_bytes,suffix_hops,count_updates,seed,rep"
-)
-
 SWEEP_MODES = ("fix_n_vary_k", "fix_k_vary_n")
 
 
@@ -118,42 +113,6 @@ def run_marking(
 
 
 @dataclass
-class BenchRow:
-    """One CSV row: one (dataset point, algorithm) pair."""
-
-    dataset: str
-    k: int
-    n: int
-    nodes_act: int
-    nodes_ehog: int
-    nodes_hog: int
-    t_ehog_s: float
-    algo: str
-    t_mark_s: float
-    peak_bytes: int
-    suffix_hops: int | None
-    count_updates: int | None
-    seed: int | None
-    rep: int
-
-    def csv_fields(self) -> list[object]:
-        """The row's values in :data:`CSV_HEADER` order (``None`` is written empty)."""
-        return [
-            self.dataset, self.k, self.n, self.nodes_act, self.nodes_ehog,
-            self.nodes_hog, f"{self.t_ehog_s:.6f}", self.algo, f"{self.t_mark_s:.6f}",
-            self.peak_bytes, self.suffix_hops, self.count_updates, self.seed, self.rep,
-        ]
-
-
-def write_csv(rows: list[BenchRow], path: str) -> None:
-    """Write the header and ``rows`` as UTF-8; a field holding a comma or quote
-    is quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(row.csv_fields() for row in rows)
-
-
-@dataclass
 class BenchReport:
     """Everything measured for one dataset point."""
 
@@ -162,7 +121,41 @@ class BenchReport:
     build: EhogBuild
     runs: list[MarkingRun]
     nodes_hog: int
-    rows: list[BenchRow]
+
+
+CSV_HEADER = (
+    "dataset,k,n,nodes_act,nodes_ehog,nodes_hog,t_ehog_s,algo,t_mark_s,"
+    "peak_bytes,suffix_hops,count_updates,seed,rep"
+)
+
+
+def write_csv(reports: list[BenchReport], path: str) -> int:
+    """Write the header and one row per finished run of ``reports`` as UTF-8,
+    and return the number of rows.
+
+    Timed-out runs get no row (the schema has no status column), and the
+    op counters are filled for ``new`` only.  A field holding a comma or
+    quote is quoted.
+    """
+    rows = []
+    for report in reports:
+        build = report.build
+        for run in report.runs:
+            if run.timed_out:
+                continue
+            new = run.algo == "new"
+            rows.append([
+                report.dataset, build.trie.k, build.trie.strings.n, build.nodes_act,
+                build.trie.n_nodes, report.nodes_hog, f"{build.seconds:.6f}", run.algo,
+                f"{run.median_s:.6f}", run.peak_alloc,
+                run.counters.get("suffix_hops") if new else None,
+                run.counters.get("count_updates") if new else None,
+                report.seed, len(run.times),
+            ])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return len(rows)
 
 
 def bench_point(
@@ -177,8 +170,8 @@ def bench_point(
 
     Any two successful algorithms must produce bit-identical mark vectors;
     a mismatch raises :class:`BenchError` naming the first differing node.
-    Timed-out algorithms are reported as such and excluded from the CSV
-    rows (the schema has no status column).
+    Timed-out algorithms are reported as such; :func:`write_csv` gives
+    them no row.
     """
     build = build_ehog(ss)
     trie = build.trie
@@ -201,31 +194,8 @@ def bench_point(
     if reference is None:
         raise BenchError(f"every algorithm timed out on {dataset}")
 
-    nodes_hog = sum(reference.marks)
-    rows = []
-    for run in runs:
-        if run.timed_out:
-            continue
-        rows.append(
-            BenchRow(
-                dataset=dataset,
-                k=ss.k,
-                n=ss.n,
-                nodes_act=build.nodes_act,
-                nodes_ehog=build.nodes_ehog,
-                nodes_hog=nodes_hog,
-                t_ehog_s=build.seconds,
-                algo=run.algo,
-                t_mark_s=run.median_s,
-                peak_bytes=run.peak_alloc,
-                suffix_hops=run.counters.get("suffix_hops") if run.algo == "new" else None,
-                count_updates=run.counters.get("count_updates") if run.algo == "new" else None,
-                seed=seed,
-                rep=len(run.times),
-            )
-        )
     return BenchReport(
-        dataset=dataset, seed=seed, build=build, runs=runs, nodes_hog=nodes_hog, rows=rows
+        dataset=dataset, seed=seed, build=build, runs=runs, nodes_hog=sum(reference.marks)
     )
 
 
@@ -239,7 +209,7 @@ def sweep(
     timeout_s: float | None = 600.0,
     alphabet: bytes = b"ACGT",
     progress: Callable[[str], None] | None = None,
-) -> tuple[list[BenchRow], list[BenchReport]]:
+) -> list[BenchReport]:
     """Run :func:`bench_point` over a grid of generated datasets.
 
     ``fix_n_vary_k`` grids over k at fixed total length n; ``fix_k_vary_n``
@@ -253,7 +223,6 @@ def sweep(
     if not grid:
         raise ValueError("sweep grid is empty")
     gen = SplitMix64(seed)
-    rows: list[BenchRow] = []
     reports: list[BenchReport] = []
     for value in grid:
         point_seed = gen.next_u64() >> 1  # keep it comfortably in a signed 64-bit
@@ -265,7 +234,6 @@ def sweep(
         report = bench_point(
             ss, algos, reps=reps, timeout_s=timeout_s, dataset=name, seed=point_seed
         )
-        rows.extend(report.rows)
         reports.append(report)
         if progress:
             done = ", ".join(
@@ -273,10 +241,10 @@ def sweep(
                 for r in report.runs
             )
             progress(
-                f"[sweep] {name}: |A|={report.build.nodes_act} |E|={report.build.nodes_ehog} "
+                f"[sweep] {name}: |A|={report.build.nodes_act} |E|={report.build.trie.n_nodes} "
                 f"|H|={report.nodes_hog} T(E)={report.build.seconds:.3f}s {done}"
             )
-    return rows, reports
+    return reports
 
 
 def _fmt_bytes(b: int | None) -> str:
@@ -294,7 +262,7 @@ def render_report(report: BenchReport, reps: int) -> str:
     build = report.build
     lines = [
         f"dataset {report.dataset}: k={build.trie.k} n={build.trie.strings.n}",
-        f"  nodes: full-trie={build.nodes_act} extended={build.nodes_ehog} "
+        f"  nodes: full-trie={build.nodes_act} extended={build.trie.n_nodes} "
         f"minimal={report.nodes_hog}",
         f"  structure build: {build.seconds:.4f}s",
         f"  marking ({reps} reps, median):",

@@ -14,10 +14,12 @@ import math
 import os
 import statistics
 import sys
+from typing import Callable
 
 from .baselines import algorithm_names, get_marker
 from .bench import (
     BenchError,
+    BenchReport,
     bench_point,
     render_report,
     sweep,
@@ -66,17 +68,17 @@ def _load_dataset(args: argparse.Namespace) -> tuple[StringSet, str, int | None]
             if value is not None:
                 raise ValueError(f"{flag} only applies to --random")
         if args.format == "fasta":
-            filt = args.filter.encode("latin-1") if args.filter else None
+            filt = None if args.filter is None else args.filter.encode("latin-1")
             ss = load_fasta(args.input, filter_alphabet=filt)
         else:
-            if args.filter:
+            if args.filter is not None:
                 raise ValueError("--filter only applies to --format fasta")
             ss = load_lines(args.input)
         return ss, os.path.basename(args.input), None
     if args.random:
         if args.format == "fasta":
             raise ValueError("--format fasta only applies to --input")
-        if args.filter:
+        if args.filter is not None:
             raise ValueError("--filter only applies to --input with --format fasta")
         k, n = args.random
         alphabet = "ACGT" if args.alphabet is None else args.alphabet
@@ -112,38 +114,37 @@ def _check_reps(reps: int) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def _bench(
+    args: argparse.Namespace, algos: list[str], then: Callable[[BenchReport], None]
+) -> int:
+    """``build`` and ``compare``: measure one dataset, print its report, pass
+    it to ``then``, and write the CSV."""
     _check_timeout(args.timeout)
     _check_reps(args.reps)
-    ss, name, seed = _load_dataset(args)
-    report = bench_point(
-        ss, [args.algo], reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
-    )
-    print(render_report(report, args.reps))
-    if args.serialize:
-        marks = report.runs[0].marks
-        if marks is None:
-            raise BenchError("nothing to serialize: the marking pass timed out")
-        with open(args.serialize, "w", encoding="ascii") as fh:
-            fh.write(to_text(contract(report.build.trie, marks, KIND_HOG)))
-        print(f"  serialized minimal structure -> {args.serialize}")
-    if args.csv:
-        write_csv(report.rows, args.csv)
-        print(f"  wrote {len(report.rows)} row(s) -> {args.csv}")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    _check_timeout(args.timeout)
-    _check_reps(args.reps)
-    algos = _parse_algos(args.algos)
-    if len(algos) < 2:
-        raise ValueError("compare needs at least two algorithms")
     ss, name, seed = _load_dataset(args)
     report = bench_point(
         ss, algos, reps=args.reps, timeout_s=args.timeout, dataset=name, seed=seed
     )
     print(render_report(report, args.reps))
+    then(report)
+    if args.csv:
+        rows = write_csv([report], args.csv)
+        print(f"  wrote {rows} row(s) -> {args.csv}")
+    return 0
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    def serialize(report: BenchReport) -> None:
+        if args.serialize:  # bench_point raised if the one algorithm timed out
+            hog = contract(report.build.trie, report.runs[0].marks, KIND_HOG)
+            with open(args.serialize, "w", encoding="ascii") as fh:
+                fh.write(to_text(hog))
+            print(f"  serialized minimal structure -> {args.serialize}")
+
+    return _bench(args, [args.algo], serialize)
+
+
+def _print_agreement(report: BenchReport) -> None:
     timed_out = [run.algo for run in report.runs if run.timed_out]
     finished = len(report.runs) - len(timed_out)
     if finished < 2:
@@ -156,10 +157,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
               f"({', '.join(timed_out)} timed out)")
     else:
         print("  mark vectors: all algorithms agree")
-    if args.csv:
-        write_csv(report.rows, args.csv)
-        print(f"  wrote {len(report.rows)} row(s) -> {args.csv}")
-    return 0
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    algos = _parse_algos(args.algos)
+    if len(algos) < 2:
+        raise ValueError("compare needs at least two algorithms")
+    return _bench(args, algos, _print_agreement)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -175,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("fix_k_vary_n needs --k (the fixed string count)")
         fixed = args.k
-    rows, _ = sweep(
+    reports = sweep(
         args.mode,
         fixed,
         grid,
@@ -186,8 +190,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         alphabet=args.alphabet.encode("latin-1"),
         progress=print,
     )
-    write_csv(rows, args.csv)
-    print(f"wrote {len(rows)} row(s) -> {args.csv}")
+    rows = write_csv(reports, args.csv)
+    print(f"wrote {rows} row(s) -> {args.csv}")
     return 0
 
 

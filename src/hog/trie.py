@@ -63,6 +63,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, fields, replace
+from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, count, islice
 from operator import eq, sub
 
@@ -253,9 +254,9 @@ def build_act(ss: StringSet) -> OverlapTrie:
     ``next_sibling`` (4 bytes per node), so a target's first child costs one
     read and only its later children a sibling walk.  A chase that meets a
     link not yet filled (a later string's tail) parks its node in a
-    per-depth bucket and skips the rest of that tail; the buckets are
-    drained in ascending depth, when every shallower link is final, each
-    resuming its tail.  Where a tail's links climb down the first-child chain
+    per-depth bucket, made only for a depth that gets a node, and skips the
+    rest of that tail; the buckets are drained in ascending depth, when
+    every shallower link is final, each resuming its tail.  Where a tail's links climb down the first-child chain
     of a target node (long overlaps, as in reads from one genome), the rest
     of that run is found with one byte-level lcp and copied with one slice:
     along that chain each node's parent is the id before it, so the ids are
@@ -271,7 +272,6 @@ def build_act(ss: StringSet) -> OverlapTrie:
     lens = array("i", map(len, strings))
     firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
     n_nodes = firsts[-1]
-    longest = max(lens)
     # the ids 0..n_nodes, which pass 2's slice copies read, made without a
     # Python int per id
     iota = _iota(n_nodes + 1)
@@ -288,32 +288,35 @@ def build_act(ss: StringSet) -> OverlapTrie:
 
     # pass 2, path bookkeeping: the path to the previous string is one run
     # of consecutive ids per tail on it, runs[i] the depth where run i
-    # begins, so the nodes that leave it get their end one run at a time
-    path = array("i", [0])  # path[d] = node at depth d on it
+    # begins and shifts[i] its ids minus their depths, so the nodes that
+    # leave it get their end one run at a time, and it holds no id per node
     runs = [0]
+    shifts = [0]
+    top = 0  # the path's depth
     for j, s, lcp, node, length in zip(count(1), strings, lcps, firsts, lens):
         # sorted and distinct, so s extends past the lcp: tail >= 1 node
-        v = path[lcp]
-        top = len(path) - 1
         if top > lcp:
-            # path[lcp + 1] is v's last child so far; the tail follows it
-            next_sibling[path[lcp + 1]] = node
             last_run = array("i", [j - 1])
             while runs[-1] > lcp:
                 a = runs.pop()
-                end[path[a] : path[top] + 1] = last_run * (top + 1 - a)
+                shift = shifts.pop()
+                end[a + shift : top + shift + 1] = last_run * (top + 1 - a)
                 top = a - 1
             if top > lcp:
-                end[path[lcp + 1] : path[top] + 1] = last_run * (top - lcp)
-            del path[lcp + 1 :]
+                shift = shifts[-1]
+                end[lcp + 1 + shift : top + shift + 1] = last_run * (top - lcp)
+            # the path's node at depth lcp + 1 is the last child so far of
+            # its node at depth lcp; the tail follows it
+            next_sibling[lcp + 1 + shift] = node
         leaf = node + length - lcp - 1
-        parent[node] = v
+        parent[node] = lcp + shifts[-1]
         depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
         start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
         labels[node - 1 : leaf] = s[lcp:]
-        path += iota[node : leaf + 1]
         runs.append(lcp + 1)
-    del lcps, lens, firsts, path, iota
+        shifts.append(node - lcp - 1)
+        top = length
+    del lcps, lens, firsts, iota
     # kid[w]: the edge byte of w's first child w + 1, or -1 at a leaf.  Each
     # label byte goes to the low byte of its short through a byte view, with
     # no Python int per node; then the leaves are set to -1: each is a
@@ -328,10 +331,18 @@ def build_act(ss: StringSet) -> OverlapTrie:
 
     suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
     suffix_link[0] = 0
-    # deferred[d]: the nodes of depth d whose chase met an unresolved link
-    deferred = [array("i") for _ in range(longest + 1)]
-    resumed = ((c, leaf_of[start[c]]) for c in chain.from_iterable(deferred))
-    for c, last in chain([(1, n_nodes - 1)], resumed):
+    # deferred[d]: the nodes of depth d whose chase met an unresolved link,
+    # made only for a depth that gets one; depths is the heap of its keys
+    deferred: dict[int, array] = {}
+    depths: list[int] = []
+
+    def resumed():
+        # in ascending depth: a resumed node's tail defers only deeper
+        while depths:
+            for c in deferred.pop(heappop(depths)):
+                yield c, leaf_of[start[c]]
+
+    for c, last in chain([(1, n_nodes - 1)], resumed()):
         streak = 0
         while c <= last:
             u = parent[c]
@@ -352,7 +363,11 @@ def build_act(ss: StringSet) -> OverlapTrie:
                 else:
                     # resume c once every shallower link is final; the rest
                     # of its string's tail hangs below it
-                    deferred[depth[c]].append(c)
+                    d = depth[c]
+                    if d not in deferred:
+                        deferred[d] = array("i")
+                        heappush(depths, d)
+                    deferred[d].append(c)
                     c = leaf_of[start[c]] + 1
                     streak = 0
                     continue
@@ -475,6 +490,23 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     return contract_by_gather(t, marks, new_kind)
 
 
+def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:
+    """The new id of the first kept node on old node ``w``'s suffix chain.
+
+    ``newid`` holds each kept node's new id and ``-1`` for an unmarked node
+    not yet resolved; it doubles as the memo, each unmarked node passed being
+    set to the target, so all chases together are linear.
+    """
+    trail = []
+    while newid[w] == -1:
+        trail.append(w)
+        w = suffix_link[w]
+    tgt = newid[w]
+    for x in trail:
+        newid[x] = tgt
+    return tgt
+
+
 def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     """:func:`contract`'s route for many unmarked nodes: rebuild every kept one.
 
@@ -510,22 +542,12 @@ def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
 
     # suffix links: each kept node's old target, mapped to its new id.  A
     # target that was dropped maps to -1 and is chased to the first marked
-    # node on its suffix chain; newid doubles as the memo, resolving each
-    # unmarked node on a chase to its target.  On the extended step there is
-    # none: its node set is closed under suffix links.
+    # node on its suffix chain.  On the extended step there is none: its
+    # node set is closed under suffix links.
     suffix_link = t.suffix_link
     new_sl = array("i", map(newid.__getitem__, map(suffix_link.__getitem__, kept)))
-    trail: list[int] = []
     for nv in compress(count(), map((-1).__eq__, new_sl)):
-        w = suffix_link[kept[nv]]
-        while newid[w] == -1:
-            trail.append(w)
-            w = suffix_link[w]
-        tgt = newid[w]
-        for x in trail:
-            newid[x] = tgt
-        trail.clear()
-        new_sl[nv] = tgt
+        new_sl[nv] = _chase_to_kept(suffix_link[kept[nv]], suffix_link, newid)
 
     new_leaf_of = array("i", [-1])
     new_leaf_of.extend(map(newid.__getitem__, islice(t.leaf_of, 1, None)))
@@ -587,19 +609,10 @@ def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> Over
     for x in dropped:
         newid[x] = -1
 
-    # suffix links: chase old links to the first marked node; newid doubles
-    # as the memo, resolving each unmarked node on a chase to its target
+    # suffix links: each unmarked node's entry becomes its target's new id
     suffix_link = t.suffix_link
-    trail: list[int] = []
     for x in dropped:
-        w = x
-        while newid[w] == -1:
-            trail.append(w)
-            w = suffix_link[w]
-        tgt = newid[w]
-        for y in trail:
-            newid[y] = tgt
-        trail.clear()
+        _chase_to_kept(x, suffix_link, newid)
     remap = newid.__getitem__
     new_sl = array("i", map(remap, compress(suffix_link, marks)))
     new_leaf_of = array("i", map(remap, t.leaf_of))

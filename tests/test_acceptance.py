@@ -189,7 +189,7 @@ def test_criterion_5_linear_work_bounds(big_build, verdict):
         build = build_ehog(generate_random(1000, n, b"ACGT", seed=42))
         run = run_marking(build.trie, "new", reps=5)
         medians.append(run.median_s)
-        sizes.append(build.nodes_ehog)
+        sizes.append(build.trie.n_nodes)
     growth = [b / a for a, b in zip(medians, medians[1:])]
     growth_ok = all(g <= 2.5 for g in growth)
     elapsed = time.perf_counter() - t0
@@ -294,7 +294,7 @@ def spearman(xs, ys) -> float:
 
 
 def test_criterion_9_structure_size_shape(verdict):
-    rows, _ = sweep(
+    reports = sweep(
         "fix_n_vary_k",
         1_000_000,
         [100, 1_000, 10_000, 100_000],
@@ -303,8 +303,8 @@ def test_criterion_9_structure_size_shape(verdict):
         reps=2,
         timeout_s=None,
     )
-    sizes = [r.nodes_ehog for r in rows]
-    times = [r.t_mark_s for r in rows]
+    sizes = [r.build.trie.n_nodes for r in reports]
+    times = [r.runs[0].median_s for r in reports]
     rho = spearman(times, sizes)
     rises = [i for i in range(len(sizes) - 1) if sizes[i + 1] > sizes[i]]
     falls = [i for i in range(len(sizes) - 1) if sizes[i + 1] < sizes[i]]

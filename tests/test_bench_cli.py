@@ -52,7 +52,7 @@ def test_write_csv_round_trip(tmp_path):
     ss = normalize(FIG1)
     report = bench_point(ss, ["new", "khan"], reps=2, dataset="fig1", seed=7)
     path = tmp_path / "rows.csv"
-    write_csv(report.rows, path)
+    assert write_csv([report], path) == 2
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["algo"] for r in rows] == ["new", "khan"]
@@ -132,7 +132,8 @@ def test_bench_point_runs_all_algorithms():
     ss = normalize(FIG1)
     report = bench_point(ss, ["new", "khan", "parkcpr", "cazaux"], reps=2)
     assert report.nodes_hog == 6
-    assert [r.algo for r in report.rows] == ["new", "khan", "parkcpr", "cazaux"]
+    assert [r.algo for r in report.runs] == ["new", "khan", "parkcpr", "cazaux"]
+    assert not any(r.timed_out for r in report.runs)
     text = render_report(report, 2)
     assert "1.00x" in text  # relative table normalizes to the row minimum
     for name in ("new", "khan", "parkcpr", "cazaux"):
@@ -145,10 +146,12 @@ def test_bench_point_rejects_disagreeing_marks(monkeypatch):
         bench_point(normalize(FIG1), ["new", "bogus"])
 
 
-def test_bench_point_excludes_timed_out_rows(monkeypatch):
+def test_bench_point_excludes_timed_out_rows(monkeypatch, tmp_path):
     monkeypatch.setitem(baselines.MARKERS, "slowpoke", slow_marker)
     report = bench_point(normalize(FIG1), ["new", "slowpoke"], reps=1)
-    assert [r.algo for r in report.rows] == ["new"]
+    assert write_csv([report], tmp_path / "rows.csv") == 1
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        assert [r["algo"] for r in csv.DictReader(fh)] == ["new"]
     assert "TIMED OUT" in render_report(report, 1)
     with pytest.raises(BenchError, match="timed out"):
         bench_point(normalize(FIG1), ["slowpoke"], reps=1)
@@ -156,15 +159,16 @@ def test_bench_point_excludes_timed_out_rows(monkeypatch):
 
 # -- sweep ----------------------------------------------------------------------
 
-def test_sweep_single_point_grid():
-    rows, reports = sweep(
+def test_sweep_single_point_grid(tmp_path):
+    reports = sweep(
         "fix_k_vary_n", 5, [60], ["new"], seed=3, reps=1, timeout_s=None
     )
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.dataset == "random-k5-n60"
-    assert (row.k, row.n) == (5, 60)
-    assert row.nodes_hog <= row.nodes_ehog <= row.nodes_act
+    assert write_csv(reports, tmp_path / "rows.csv") == 1
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        [row] = csv.DictReader(fh)
+    assert row["dataset"] == "random-k5-n60"
+    assert (row["k"], row["n"]) == ("5", "60")
+    assert int(row["nodes_hog"]) <= int(row["nodes_ehog"]) <= int(row["nodes_act"])
 
 
 def test_sweep_rejects_unknown_mode():
@@ -176,7 +180,7 @@ def test_sweep_peak_memory_non_decreasing_in_n():
     # fixed string count, growing total length; the fast marker's working
     # set tracks the extended structure, so peaks stay flat-to-rising
     # (10% slack absorbs allocator noise)
-    rows, _ = sweep(
+    reports = sweep(
         "fix_k_vary_n",
         2000,
         [100_000, 400_000, 1_600_000],
@@ -185,7 +189,7 @@ def test_sweep_peak_memory_non_decreasing_in_n():
         reps=1,
         timeout_s=None,
     )
-    peaks = [r.peak_bytes for r in rows]
+    peaks = [r.runs[0].peak_alloc for r in reports]
     for prev, cur in zip(peaks, peaks[1:]):
         assert cur >= 0.9 * prev, peaks
 
@@ -268,8 +272,9 @@ def test_cli_rejects_zero_reps_before_building(monkeypatch, tmp_path, capsys, co
 @pytest.mark.parametrize("command", ["build", "compare", "query"])
 @pytest.mark.parametrize("flags, message", [
     (["--filter", "AC"], "error: --filter only applies to --input with --format fasta\n"),
+    (["--filter", ""], "error: --filter only applies to --input with --format fasta\n"),
     (["--format", "fasta"], "error: --format fasta only applies to --input\n"),
-], ids=["filter", "format-fasta"])
+], ids=["filter", "filter-empty", "format-fasta"])
 def test_cli_rejects_input_options_with_random(tmp_path, capsys, command, flags, message):
     batch = tmp_path / "batch.txt"
     batch.write_text("A 1\n")
@@ -294,6 +299,21 @@ def test_cli_rejects_random_options_with_input(tmp_path, capsys, command, flags,
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == message
+    assert captured.out == ""  # nothing was built
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("lines", "--filter only applies to --format fasta"),
+    ("fasta", "no records left after alphabet filtering"),
+])
+def test_cli_empty_filter_is_a_filter(tmp_path, capsys, fmt, message):
+    # an empty alphabet admits no record; it is not the same as no --filter
+    path = tmp_path / "fig1.fa"
+    path.write_bytes(b"".join(b">r\n" + s + b"\n" for s in FIG1))
+    rc = main(["build", "--input", str(path), "--format", fmt, "--filter", "", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == ""  # nothing was built
 
 

@@ -16,14 +16,14 @@ string_sets = st.lists(
 
 def test_fig1_build():
     b = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"]))
-    assert (b.nodes_act, b.nodes_ehog) == (14, 8)
+    assert (b.nodes_act, b.trie.n_nodes) == (14, 8)
     assert b.trie.kind == KIND_EHOG
     assert b.seconds > 0
 
 
 def test_singleton():
     b = build_ehog(normalize([b"a"]))
-    assert (b.nodes_act, b.nodes_ehog) == (2, 2)
+    assert (b.nodes_act, b.trie.n_nodes) == (2, 2)
 
 
 def test_periodic_strings_stay_linear():

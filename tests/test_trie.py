@@ -260,6 +260,16 @@ def test_build_act_traced_peak_per_node():
     assert peak / act.n_nodes <= 30
 
 
+def test_build_act_traced_peak_per_node_on_one_long_string():
+    # no deferral bucket is made for a depth that gets no node, and the path
+    # to the previous string is kept as runs, not one id per node
+    ss = generate_random(1, 200_000, b"ACGT", 1)
+    build_act(ss)
+    act, peak = measure_peak_memory(lambda: build_act(ss))
+    assert act.n_nodes == 200_001
+    assert peak / act.n_nodes <= 30
+
+
 # -- the string map -------------------------------------------------------------
 
 def assert_string_map(t):
