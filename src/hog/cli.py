@@ -174,10 +174,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == "fix_n_vary_k":
         if args.n is None:
             raise ValueError("fix_n_vary_k needs --n (the fixed total length)")
+        if args.k is not None:
+            raise ValueError("--k does not apply to fix_n_vary_k: --grid lists its k values")
         fixed = args.n
     else:
         if args.k is None:
             raise ValueError("fix_k_vary_n needs --k (the fixed string count)")
+        if args.n is not None:
+            raise ValueError("--n does not apply to fix_k_vary_n: --grid lists its n values")
         fixed = args.k
     reports = sweep(
         args.mode,

@@ -37,11 +37,11 @@ Leaf intervals are set by ``build_act`` during the sorted insertion and
 carried through by ``contract``; ``leaf_intervals`` recomputes them
 independently, for ``verify_structure``'s audit.
 
-``contract`` has two routes that build the same columns, chosen from the
-share of unmarked nodes.  Where few drop (the minimal step on reads; none on
-random text, a plain copy) it splices each unmarked node out and copies the
-kept runs of ids; where many drop (the extended step) it gathers the kept
-nodes and rebuilds their links.
+``contract`` maps parents and suffix links the same way whatever drops;
+only how it takes the kept nodes follows the share of unmarked nodes.  Where
+few drop (the minimal step on reads; none on random text, a plain copy) it
+copies the kept runs of ids; where many drop (the extended step) it takes
+the kept nodes one by one.
 
 Public API
 ----------
@@ -50,8 +50,8 @@ COLUMNS            names of its six stored per-node ``array('i')`` columns
 build_act          sorted strings -> ``act`` trie, intervals included
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
-contract_by_splice / contract_by_gather
-                   ``contract``'s two routes, unchecked, for verification
+contract_unchecked ``contract``'s body, either way of taking the kept nodes,
+                   unchecked, for verification
 verify_structure   exhaustive invariant audit, returns violation messages
 to_text            stable line-oriented dump for golden tests / --serialize
 
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, count, islice
@@ -451,11 +452,11 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
     return start, end
 
 
-#: ``contract`` splices when at most this share of the nodes drops, and
-#: gathers the kept nodes otherwise: on scattered drops from the extended
-#: graphs of 20,000 short random strings and of 400 reads, the two routes
-#: cost the same between 0.32 and 0.35
-_SPLICE_MAX_DROP_SHARE = 0.3
+#: ``contract`` takes the kept nodes as runs of consecutive ids when at most
+#: this share of the nodes drops, and one by one otherwise: on scattered
+#: drops from the extended graphs of 20,000 short random strings and of 400
+#: reads, the two ways cost the same between 0.30 and 0.32
+_RUNS_MAX_DROP_SHARE = 0.3
 
 
 def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
@@ -468,26 +469,37 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     Ids stay in ascending old-id order, preserving DFS pre-order and the
     lexicographic child ordering.
 
-    Two routes build the same columns, chosen from the number of unmarked
-    nodes alone: :func:`contract_by_splice` when at most
-    ``_SPLICE_MAX_DROP_SHARE`` of the nodes drop (a plain copy when none
-    does), :func:`contract_by_gather` otherwise.
+    With no unmarked node the result is a column-by-column copy; otherwise
+    :func:`contract_unchecked` builds it, taking the kept nodes by runs when
+    at most ``_RUNS_MAX_DROP_SHARE`` of the nodes drop.
     """
     n = t.n_nodes
     if len(marks) != n:
         raise ValueError(f"mark vector has {len(marks)} flags for {n} nodes")
     drops = marks.count(0)
-    if drops:
-        if not marks[0]:
-            raise ValueError("contract: root is not marked")
-        leaf_of = t.leaf_of
-        # leaf_of ascends with j (pre-order), so the first miss is the lowest id
-        if not all(map(marks.__getitem__, islice(leaf_of, 1, None))):
-            j = next(j for j in range(1, t.k + 1) if not marks[leaf_of[j]])
-            raise ValueError(f"contract: node of whole string {j} is not marked")
-    if drops <= _SPLICE_MAX_DROP_SHARE * n:
-        return contract_by_splice(t, marks, new_kind)
-    return contract_by_gather(t, marks, new_kind)
+    if not drops:
+        # the same columns, copied so that the two structures stay independent
+        return replace(t, kind=new_kind, **{c: getattr(t, c)[:] for c in COLUMNS})
+    if not marks[0]:
+        raise ValueError("contract: root is not marked")
+    leaf_of = t.leaf_of
+    # leaf_of ascends with j (pre-order), so the first miss is the lowest id
+    if not all(map(marks.__getitem__, islice(leaf_of, 1, None))):
+        j = next(j for j in range(1, t.k + 1) if not marks[leaf_of[j]])
+        raise ValueError(f"contract: node of whole string {j} is not marked")
+    return contract_unchecked(t, marks, new_kind, drops <= _RUNS_MAX_DROP_SHARE * n)
+
+
+def _misses(column: array, i: int = 0) -> Iterator[int]:
+    """The indices of ``column``'s ``-1`` entries from ``i`` on, each found
+    by a C-level scan; an entry may be rewritten once it is yielded."""
+    try:
+        while True:
+            i = column.index(-1, i)
+            yield i
+            i += 1
+    except ValueError:
+        return
 
 
 def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:
@@ -507,129 +519,85 @@ def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:
     return tgt
 
 
-def contract_by_gather(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
-    """:func:`contract`'s route for many unmarked nodes: rebuild every kept one.
+def contract_unchecked(
+    t: OverlapTrie, marks: MarkVector, new_kind: str, by_runs: bool
+) -> OverlapTrie:
+    """:func:`contract` without its checks and its copy for no unmarked node.
 
-    Every marked node's new parent is found with a stack over the kept nodes
-    in pre-order: leaf intervals are laminar, so a stacked node that is not
-    an ancestor ends before the next kept node starts.  Suffix links are
-    mapped through the id map; only a link whose target was dropped is
-    re-resolved, by chasing old links until a marked node is hit (memoized
-    in the id map, so the chase is linear overall).  The Python-level work
-    is O(kept nodes + unmarked nodes on suffix chases); the only pass over
-    all ``n`` nodes is a C-level scan of the mark vector.  The marks are not
-    checked: :func:`contract` does that.
+    ``by_runs`` chooses only how the kept nodes are numbered and their
+    columns taken, and which of them climb to find their parent: by runs of
+    consecutive kept ids, one slice per run, where few nodes drop, and then
+    only a node whose parent dropped climbs; or one by one from the list of
+    kept ids, whose Python work is O(kept nodes), where many do, and then
+    every node climbs.  Both build the same columns.
+
+    Ids are mapped through ``newid``, which is ``-1`` at an unmarked node and
+    at the extra entry ``n`` (so the root's parent stays ``-1``).  A climber
+    finds its nearest kept ancestor from the kept node before it, through
+    the new parents: leaf intervals are laminar, so a node on that chain that
+    is not an ancestor ends before the climber starts, and no later node
+    passes it again.  A suffix link whose target dropped is chased to the
+    first kept node on its old suffix chain, memoized in ``newid``, so the
+    parents are mapped first.  The marks are not checked.
     """
     n = t.n_nodes
-    kept = array("i", compress(range(n), marks))  # old ids, ascending
-    m = len(kept)
-    newid = array("i", [-1]) * n
-    for nv, v in enumerate(kept):
-        newid[v] = nv
+    newid = array("i", [-1]) * (n + 1)
+    remap = newid.__getitem__
+    if by_runs:
+        runs = []  # [a, b) of each run of kept ids
+        a = 0
+        while (b := marks.find(0, a)) != -1:
+            runs.append((a, b))
+            a = b + 1
+        runs.append((a, n))
+        iota = _iota(n)
+        for i, (a, b) in enumerate(runs):  # the run after i drops
+            newid[a:b] = iota[a - i : b - i]
 
-    new_start = array("i", map(t.start.__getitem__, kept))
-    new_end = array("i", map(t.end.__getitem__, kept))
-    new_parent = array("i", [-1]) * m
+        def take(column: array) -> array:
+            out = array("i")
+            for a, b in runs:
+                out += column[a:b]
+            return out
 
-    # stack[i + 1]'s new parent is stack[i]
-    stack = [0]
-    for nv in range(1, m):
+        # only a kept node whose parent dropped climbs
+        new_parent = array("i", map(remap, take(t.parent)))
+        climbers = _misses(new_parent, 1)
+    else:
+        kept = array("i", compress(range(n), marks))  # old ids, ascending
+        for nv, v in enumerate(kept):
+            newid[v] = nv
+
+        def take(column: array) -> array:
+            return array("i", map(column.__getitem__, kept))
+
+        new_parent = array("i", [-1]) * len(kept)
+        climbers = range(1, len(kept))
+
+    new_start = take(t.start)
+    new_end = take(t.end)
+    for nv in climbers:
         s = new_start[nv]
-        while new_end[stack[-1]] < s:
-            stack.pop()
-        new_parent[nv] = stack[-1]
-        stack.append(nv)
+        p = nv - 1
+        while new_end[p] < s:
+            p = new_parent[p]
+        new_parent[nv] = p
 
-    # suffix links: each kept node's old target, mapped to its new id.  A
-    # target that was dropped maps to -1 and is chased to the first marked
-    # node on its suffix chain.  On the extended step there is none: its
-    # node set is closed under suffix links.
     suffix_link = t.suffix_link
-    new_sl = array("i", map(newid.__getitem__, map(suffix_link.__getitem__, kept)))
-    for nv in compress(count(), map((-1).__eq__, new_sl)):
-        new_sl[nv] = _chase_to_kept(suffix_link[kept[nv]], suffix_link, newid)
-
-    new_leaf_of = array("i", [-1])
-    new_leaf_of.extend(map(newid.__getitem__, islice(t.leaf_of, 1, None)))
+    old_sl = take(suffix_link)
+    new_sl = array("i", map(remap, old_sl))
+    for nv in _misses(new_sl):
+        new_sl[nv] = _chase_to_kept(old_sl[nv], suffix_link, newid)
 
     return OverlapTrie(
         kind=new_kind,
         strings=t.strings,
         parent=new_parent,
-        depth=array("i", map(t.depth.__getitem__, kept)),
+        depth=take(t.depth),
         suffix_link=new_sl,
         start=new_start,
         end=new_end,
-        leaf_of=new_leaf_of,
-    )
-
-
-def contract_by_splice(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
-    """:func:`contract`'s route for few unmarked nodes: splice each one out.
-
-    An unmarked node is never a leaf (every leaf is a whole string), so
-    splicing it hands its children to its parent.  The kept nodes keep their
-    values in runs of consecutive ids, so the columns that hold no ids are
-    copied one run at a time, and those that do are mapped through one id
-    table, ``newid``.  A kept node's entry is its new id; an unmarked node's
-    entry is rewritten before each map: its suffix-link target's new id,
-    then its new parent.  Visiting the unmarked nodes in ascending id order,
-    parents before children, resolves chains of them.
-
-    Python-level work is O(unmarked nodes); every pass over all ``n`` nodes
-    is C-level.  With no unmarked node the result is a column-by-column
-    copy.  The marks are not checked: :func:`contract` does that.
-    """
-    n = t.n_nodes
-    dropped = []
-    x = marks.find(0)
-    while x != -1:
-        dropped.append(x)
-        x = marks.find(0, x + 1)
-    if not dropped:
-        # the same columns, copied so that the two structures stay independent
-        return replace(t, kind=new_kind, **{c: getattr(t, c)[:] for c in COLUMNS})
-    ends = dropped[1:] + [n]  # the kept run after dropped[i] ends before ends[i]
-
-    def kept_runs(column: array) -> array:
-        out = column[: dropped[0]]
-        for a, b in zip(dropped, ends):
-            out += column[a + 1 : b]
-        return out
-
-    # a kept node's new id is its old id minus the drops before it; runs are
-    # copied down from the identity, last run first, so every source is
-    # still untouched; entry n is -1, so -1 maps to -1
-    newid = _iota(n + 1)
-    for i in range(len(dropped), 0, -1):
-        a = dropped[i - 1] + 1
-        b = ends[i - 1]
-        newid[a:b] = newid[a - i : b - i]
-    newid[n] = -1
-    for x in dropped:
-        newid[x] = -1
-
-    # suffix links: each unmarked node's entry becomes its target's new id
-    suffix_link = t.suffix_link
-    for x in dropped:
-        _chase_to_kept(x, suffix_link, newid)
-    remap = newid.__getitem__
-    new_sl = array("i", map(remap, compress(suffix_link, marks)))
-    new_leaf_of = array("i", map(remap, t.leaf_of))
-
-    parent = t.parent
-    for x in dropped:  # a parent's entry is final before its child's
-        newid[x] = newid[parent[x]]
-
-    return OverlapTrie(
-        kind=new_kind,
-        strings=t.strings,
-        parent=array("i", map(remap, compress(parent, marks))),
-        depth=kept_runs(t.depth),
-        suffix_link=new_sl,
-        start=kept_runs(t.start),
-        end=kept_runs(t.end),
-        leaf_of=new_leaf_of,
+        leaf_of=array("i", map(remap, t.leaf_of)),
     )
 
 

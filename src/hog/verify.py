@@ -24,8 +24,7 @@ from .trie import (
     OverlapTrie,
     build_act,
     contract,
-    contract_by_gather,
-    contract_by_splice,
+    contract_unchecked,
     verify_structure,
 )
 
@@ -192,11 +191,11 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     Returns one ``(check, message)`` pair per failure, ``check`` one of
     :data:`CHECKS`: ``structure`` (audits of the full, extended and minimal
     graphs, minimal ⊆ extended ⊆ full as string sets, and the same minimal
-    columns from both of ``contract``'s routes), ``sets`` (node
-    and marked sets against their oracles), ``vectors`` (one of the four
-    markers differs, on the full trie or the extended graph, from the
-    oracle's vector: the nodes whose strings are in the brute-force target
-    set) or ``queries`` (:func:`check_queries` on the minimal and the
+    columns from both of ``contract``'s ways of taking the kept nodes),
+    ``sets`` (node and marked sets against their oracles), ``vectors`` (one
+    of the four markers differs, on the full trie or the extended graph,
+    from the oracle's vector: the nodes whose strings are in the brute-force
+    target set) or ``queries`` (:func:`check_queries` on the minimal and the
     extended graph).
     """
     problems: list[tuple[str, str]] = []
@@ -223,12 +222,13 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
                 f"marks on {t.kind}: extra={got - want_h!r} missing={want_h - got!r}",
             ))
     hog = contract(ehog, ref, KIND_HOG)
-    # contract takes one of its two routes; both must build the same columns
-    spliced = contract_by_splice(ehog, ref, KIND_HOG)
-    gathered = contract_by_gather(ehog, ref, KIND_HOG)
+    # contract takes the kept nodes by runs or one by one; both ways must
+    # build the same columns
+    by_runs = contract_unchecked(ehog, ref, KIND_HOG, True)
+    one_by_one = contract_unchecked(ehog, ref, KIND_HOG, False)
     for c in COLUMNS:
-        if getattr(spliced, c) != getattr(gathered, c):
-            problems.append(("structure", f"hog: the splice and gather routes differ in {c}"))
+        if getattr(by_runs, c) != getattr(one_by_one, c):
+            problems.append(("structure", f"hog: the two ways of taking kept nodes differ in {c}"))
 
     nodes = {}
     for t, want in ((act, None), (ehog, brute_ehog_strings(strings)), (hog, want_h)):

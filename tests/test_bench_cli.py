@@ -439,6 +439,19 @@ def test_cli_sweep_flag_validation(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, fixed, unused", [
+    ("fix_n_vary_k", ["--n", "2000"], ["--k", "7"]),
+    ("fix_k_vary_n", ["--k", "10"], ["--n", "99"]),
+], ids=["fix_n_vary_k", "fix_k_vary_n"])
+def test_cli_sweep_rejects_the_size_flag_its_mode_varies(tmp_path, capsys, mode, fixed, unused):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--mode", mode, *fixed, *unused, "--grid", "100",
+               "--algos", "new", "--reps", "1", "--csv", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {unused[0]} does not apply to {mode}")
+    assert not out.exists()
+
+
 def test_cli_query_batch(tmp_path, capsys):
     inp = fig1_file(tmp_path)
     batch = tmp_path / "batch.txt"

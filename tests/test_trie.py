@@ -22,8 +22,7 @@ from hog.trie import (
     _lcp,
     build_act,
     contract,
-    contract_by_gather,
-    contract_by_splice,
+    contract_unchecked,
     leaf_intervals,
     to_text,
     verify_structure,
@@ -473,7 +472,7 @@ edge_byte_sets = st.lists(
 def act_and_marks(draw):
     """A full trie and a mark vector holding the root, every whole string and
     random other nodes; the marks need not be closed under suffix links.
-    Half the vectors are mostly marked, so that ``contract`` splices."""
+    Half the vectors are mostly marked, so that ``contract`` takes runs."""
     raw = draw(edge_byte_sets)
     # add some proper prefixes so that strings nest
     raw += [s[: draw(st.integers(1, len(s)))] for s in raw[: draw(st.integers(0, 3))]]
@@ -501,7 +500,8 @@ def test_contract_matches_node_string_oracle(case):
     ids = {x: v for v, x in enumerate(kept)}
     ups = [max((x[:i] for i in range(len(x)) if x[:i] in ids), key=len, default=None)
            for x in kept]
-    for t in (contract_by_splice(act, marks, KIND_HOG), contract_by_gather(act, marks, KIND_HOG)):
+    for by_runs in (True, False):
+        t = contract_unchecked(act, marks, KIND_HOG, by_runs)
         # pre-order with label-ordered children is lexicographic order
         assert [t.node_string(v) for v in range(t.n_nodes)] == kept
         first_child, next_sibling, edge_byte = t.first_child, t.next_sibling, t.edge_byte
@@ -526,15 +526,15 @@ def test_contract_matches_node_string_oracle(case):
         assert verify_structure(t) == []
 
 
-# -- the two contraction routes -------------------------------------------------
+# -- the two ways of taking the kept nodes -------------------------------------
 
 def assert_routes_agree(t, marks, kind=KIND_HOG):
-    splice = contract_by_splice(t, marks, kind)
-    gather = contract_by_gather(t, marks, kind)
-    assert splice.kind == gather.kind == kind
+    by_runs = contract_unchecked(t, marks, kind, True)
+    one_by_one = contract_unchecked(t, marks, kind, False)
+    assert by_runs.kind == one_by_one.kind == kind
     for c in COLUMNS:
-        assert getattr(splice, c) == getattr(gather, c), c
-    return splice
+        assert getattr(by_runs, c) == getattr(one_by_one, c), c
+    return by_runs
 
 
 def sparse_marks(t, seed, share):
@@ -576,7 +576,7 @@ def test_contract_routes_agree_on_a_reads_shaped_set():
     assert_routes_agree(e, sparse_marks(e, 4, 0.05))
 
 
-def test_contract_splice_is_linear_when_a_wide_node_gains_many_children():
+def test_contract_is_linear_when_a_wide_node_gains_many_children():
     # full-bytes: dropping the depth-1 nodes hands their children to the root
     e = build_ehog_of(FAMILIES["full-bytes"])
     marks = bytearray(d != 1 or j != -1 for d, j in zip(e.depth, e.string_of))
@@ -585,44 +585,43 @@ def test_contract_splice_is_linear_when_a_wide_node_gains_many_children():
     h = assert_routes_agree(e, marks)
     assert verify_structure(h) == []
     assert h.parent.count(0) > 250
-    # Python lines run by the splice: about 5 per node here, while a walk of
+    # Python lines run: about 9 per node here either way, while a walk of
     # the root's 257-child list per dropped node would take over 40 per node
-    lines = 0
+    for by_runs in (True, False):
+        lines = 0
 
-    def tracer(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return tracer
+        def tracer(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return tracer
 
-    sys.settrace(tracer)
-    try:
-        contract_by_splice(e, marks, KIND_HOG)
-    finally:
-        sys.settrace(None)
-    assert lines < 20 * e.n_nodes
+        sys.settrace(tracer)
+        try:
+            contract_unchecked(e, marks, KIND_HOG, by_runs)
+        finally:
+            sys.settrace(None)
+        assert lines < 20 * e.n_nodes, by_runs
 
 
 def test_contract_route_follows_the_drop_count(monkeypatch):
     e = build_ehog_of(FAMILIES["full-bytes"])
     routes = []
-    for name in ("contract_by_splice", "contract_by_gather"):
-        monkeypatch.setattr(
-            hog.trie, name,
-            lambda t, marks, kind, name=name: routes.append((name, marks.count(0))),
-        )
+    monkeypatch.setattr(
+        hog.trie, "contract_unchecked",
+        lambda t, marks, kind, by_runs: routes.append((by_runs, marks.count(0))),
+    )
     n = e.n_nodes
     droppable = [v for v, j in enumerate(e.string_of) if v and j == -1]
-    limit = int(hog.trie._SPLICE_MAX_DROP_SHARE * n)
+    limit = int(hog.trie._RUNS_MAX_DROP_SHARE * n)
     assert limit < len(droppable)
     for drops in (0, 1, limit, limit + 1, len(droppable)):
         marks = bytearray(b"\x01") * n
         for v in droppable[:drops]:
             marks[v] = 0
         contract(e, marks, KIND_HOG)
-    splice, gather = "contract_by_splice", "contract_by_gather"
+    # with no drop, contract copies the columns and calls no body
     assert routes == [
-        (splice, 0), (splice, 1), (splice, limit),
-        (gather, limit + 1), (gather, len(droppable)),
+        (True, 1), (True, limit), (False, limit + 1), (False, len(droppable)),
     ]
 
 
