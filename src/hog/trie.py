@@ -8,7 +8,8 @@ One class serves all three structure kinds used in this package:
     At most ``n + 1`` nodes for total input length ``n``.  Each string's
     fresh nodes get consecutive ids, so most columns are built as whole-column
     copies, and its suffix links are filled by walking down that run of ids,
-    not breadth-first.
+    not breadth-first (by automaton runs in C below the deepest branching
+    node, where those nodes' transition rows are cheap enough).
 ``ehog``
     The contraction of the ``act`` to the root, the whole strings, and every
     node reachable by walking suffix links from a whole-string node (a
@@ -20,10 +21,16 @@ One class serves all three structure kinds used in this package:
 Nodes are identified by dense integer ids in DFS pre-order (the root is 0,
 parents precede children, children ascend lexicographically).  Six
 attributes are stored in parallel ``array('i')`` columns: five per node
-(20 bytes per node) and ``leaf_of``, one per string.  ``build_act``'s
-suffix-link pass holds 7 more bytes per node beside them (``next_sibling``,
-a 2-byte first-child label and the 1-byte edge labels), so its traced peak
-is about 28 bytes per node on random DNA and on reads.  Child lists and edge bytes are not stored: in pre-order they
+(20 bytes per node) and ``leaf_of``, one per string.  ``build_act`` fills
+the suffix links one of two ways.  By rows, it holds one Aho–Corasick
+transition row per node down to a depth chosen so that the rows take at
+most 7 bytes per node (about ``8 * (σ + 13)`` bytes a row, for σ distinct
+bytes) and nothing per node beside the columns: a traced peak of 20.7 bytes
+per node plus the rows, 26.9 on random DNA of 100-byte strings and 21.4 on
+reads.  By the chase, it holds 7 more bytes per node (``next_sibling``, a
+2-byte first-child label and the 1-byte edge labels): about 27 to 30.  It
+takes the rows where few links are expected deeper than them, and the chase
+otherwise, as with short strings.  Child lists and edge bytes are not stored: in pre-order they
 follow from ``parent`` (a node's children are the ids whose parent it is,
 in ascending order), and ``OverlapTrie`` derives them on request; so is
 ``string_of``, the inverse of ``leaf_of``.  A string sorts first among those
@@ -48,6 +55,8 @@ Public API
 OverlapTrie        container with navigation helpers and derived child lists
 COLUMNS            names of its six stored per-node ``array('i')`` columns
 build_act          sorted strings -> ``act`` trie, intervals included
+build_act_unchecked ``build_act`` with its way of filling suffix links forced,
+                   for verification
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
 contract_unchecked ``contract``'s body, either way of taking the kept nodes,
@@ -62,11 +71,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from heapq import heappop, heappush
-from itertools import accumulate, chain, compress, count, islice
-from operator import eq, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, getitem, itemgetter, sub
 
 from .datasets import StringSet
 
@@ -239,30 +250,58 @@ def build_act(ss: StringSet) -> OverlapTrie:
     hence the node count, and fills whole columns as they are inside a tail
     (the parent is the node before, no sibling, no whole string).  The second
     walks the path to the previous string: it mends each tail's two ends and
-    writes the ``depth`` and ``start`` slices and the label bytes into
-    columns sized by the first, so no column grows by reallocation.  A fresh
-    node's leaf interval starts at the string that created it and ends at the
-    last string inserted before it leaves the path; the nodes that leave
-    together form one run of consecutive ids per tail on the path, so ``end``
-    is set one run at a time.
+    writes the ``depth`` and ``start`` slices into columns sized by the first,
+    so no column grows by reallocation.  A fresh node's leaf interval starts
+    at the string that created it and ends at the last string inserted before
+    it leaves the path; the nodes that leave together form one run of
+    consecutive ids per tail on the path, so ``end`` is set one run at a time.
 
-    Suffix links are then filled by the classic fallback chase over the
-    parent's link, walking the nodes in id order: string by string, each
-    string's tail of fresh nodes top-down.  Besides the output columns the
-    chase reads three: ``labels`` (1 byte per node, the edge byte of each
-    node), ``kid`` (2 bytes per node, the edge byte of a node's first child,
-    which in pre-order is the next id, or ``-1`` at a leaf) and
-    ``next_sibling`` (4 bytes per node), so a target's first child costs one
-    read and only its later children a sibling walk.  A chase that meets a
-    link not yet filled (a later string's tail) parks its node in a
-    per-depth bucket, made only for a depth that gets a node, and skips the
-    rest of that tail; the buckets are drained in ascending depth, when
-    every shallower link is final, each resuming its tail.  Where a tail's links climb down the first-child chain
-    of a target node (long overlaps, as in reads from one genome), the rest
-    of that run is found with one byte-level lcp and copied with one slice:
-    along that chain each node's parent is the id before it, so the ids are
-    a slice of ``parent``.
+    Suffix links are then filled one of two ways, to the same values.  By
+    rows (:func:`_links_by_rows`), each node down to a depth ``top`` gets its
+    Aho–Corasick transition row, and each string's nodes below depth
+    ``top + 1`` are filled by automaton runs in C.  ``top`` is the deepest
+    depth, up to the largest lcp of sorted neighbours ``L`` (below which no
+    node branches), whose rows fit in ``_ROWS_MAX_BYTES_PER_NODE`` (7) bytes
+    per node, counted as ``8 * (σ + 13)`` bytes a row for σ distinct bytes
+    and 40 a string.  This way makes no ``labels``, ``kid`` or
+    ``next_sibling``, so the rows take the place of their 7 bytes per node.
+    By the chase (:func:`_links_by_chase`), the links are found one node at
+    a time from ``labels`` (1 byte per node, each node's edge byte), ``kid``
+    (2) and ``next_sibling`` (4), held beside the output columns.  The rows
+    are taken where some string runs more than one byte past depth ``L``
+    and at most ``_ROWS_MAX_DEEP_SHARE`` of the links are expected deeper
+    than ``top`` (the nodes of depth ``top + 1`` among the σ ** (top + 1)
+    strings of that length), since each such link costs the runs some
+    Python steps; the chase otherwise, as with 20,000 random strings of 10
+    bytes.  Either way a node whose link waits for one not filled yet is
+    parked by depth and resumed once every shallower link is final, and
+    where links climb down the first-child chain below a node, the rest of
+    that run is found with one byte-level lcp and copied with one slice of
+    ``parent``.
     """
+    return build_act_unchecked(ss, None)
+
+
+#: ``build_act``'s rows take at most this many bytes per trie node, counted
+#: as ``8 * (σ + 13)`` bytes a row for σ distinct bytes (the list, its
+#: entries, its id and its slot in the list of all rows) and 40 a string
+#: (its lcp, length and first id, and its entries in one level's lists).
+#: The chase's working arrays take 7: with rows at this budget, the rows
+#: way's traced peak read 25.5-27.3 bytes per node against the chase's
+#: 27.2-27.4, on random DNA of 1,000 to 10,000 strings of 40 to 100 bytes
+_ROWS_MAX_BYTES_PER_NODE = 7
+
+#: ``build_act`` fills suffix links by rows when at most this share of them
+#: is expected deeper than the rows (each such link costs the runs some
+#: Python steps): on random DNA, rows took 0.80 of the chase's time at an
+#: expected share of 0.030, 0.94 at 0.059 and 1.15 at 0.074
+_ROWS_MAX_DEEP_SHARE = 0.05
+
+
+def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
+    """:func:`build_act` with its way of filling suffix links forced: by rows
+    (``True``) or by the chase (``False``), whatever their cost; ``None``
+    chooses as ``build_act`` does.  Both give the same columns."""
     k = ss.k
     if not k:
         raise ValueError("cannot build a trie over an empty string set")
@@ -273,19 +312,43 @@ def build_act(ss: StringSet) -> OverlapTrie:
     lens = array("i", map(len, strings))
     firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
     n_nodes = firsts[-1]
+    # no node deeper than the largest lcp branches
+    branched = max(lcps)
+    alphabet = b""
+    top = 0
+    if by_rows or by_rows is None and max(lens) > branched + 1:
+        alphabet = _alphabet(strings)
+        sigma = len(alphabet)
+        # the deepest depth up to the largest lcp whose rows fit the budget,
+        # by bisection
+        budget = _ROWS_MAX_BYTES_PER_NODE * n_nodes - 40 * k
+        hi = branched
+        while top < hi:
+            mid = (top + hi + 1) // 2
+            if _nodes_to_depth(lcps, lens, mid) * 8 * (sigma + 13) <= budget:
+                top = mid
+            else:
+                hi = mid - 1
+        if by_rows is None:
+            # the share of links deeper than top expected of random text: the
+            # nodes of depth top + 1 among all strings of that length
+            deep = _nodes_to_depth(lcps, lens, top + 1) - _nodes_to_depth(lcps, lens, top)
+            by_rows = deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE
+    by_rows = bool(by_rows)
     # the ids 0..n_nodes, which pass 2's slice copies read, made without a
     # Python int per id
     iota = _iota(n_nodes + 1)
 
     # whole columns, as they are inside a tail; pass 2 mends its two ends
     parent = array("i", [-1]) + iota[: n_nodes - 1]
-    next_sibling = array("i", [-1]) * n_nodes
     end = array("i", [k]) * n_nodes  # nodes still on the path at the end
     leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
     leaf_of[0] = -1
     depth = array("i", [0]) * n_nodes
     start = array("i", [1]) * n_nodes
-    labels = bytearray(n_nodes - 1)  # labels[v - 1]: node v's edge byte
+    # the chase's sibling links and edge bytes (labels[v - 1]: node v's)
+    next_sibling = None if by_rows else array("i", [-1]) * n_nodes
+    labels = None if by_rows else bytearray(n_nodes - 1)
 
     # pass 2, path bookkeeping: the path to the previous string is one run
     # of consecutive ids per tail on it, runs[i] the depth where run i
@@ -293,31 +356,147 @@ def build_act(ss: StringSet) -> OverlapTrie:
     # leave it get their end one run at a time, and it holds no id per node
     runs = [0]
     shifts = [0]
-    top = 0  # the path's depth
+    path = 0  # the path's depth
     for j, s, lcp, node, length in zip(count(1), strings, lcps, firsts, lens):
         # sorted and distinct, so s extends past the lcp: tail >= 1 node
-        if top > lcp:
+        if path > lcp:
             last_run = array("i", [j - 1])
             while runs[-1] > lcp:
                 a = runs.pop()
                 shift = shifts.pop()
-                end[a + shift : top + shift + 1] = last_run * (top + 1 - a)
-                top = a - 1
-            if top > lcp:
+                end[a + shift : path + shift + 1] = last_run * (path + 1 - a)
+                path = a - 1
+            if path > lcp:
                 shift = shifts[-1]
-                end[lcp + 1 + shift : top + shift + 1] = last_run * (top - lcp)
+                end[lcp + 1 + shift : path + shift + 1] = last_run * (path - lcp)
             # the path's node at depth lcp + 1 is the last child so far of
             # its node at depth lcp; the tail follows it
-            next_sibling[lcp + 1 + shift] = node
+            if next_sibling is not None:
+                next_sibling[lcp + 1 + shift] = node
         leaf = node + length - lcp - 1
         parent[node] = lcp + shifts[-1]
         depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
         start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
-        labels[node - 1 : leaf] = s[lcp:]
+        if labels is not None:
+            labels[node - 1 : leaf] = s[lcp:]
         runs.append(lcp + 1)
         shifts.append(node - lcp - 1)
-        top = length
-    del lcps, lens, firsts, iota
+        path = length
+    del iota
+    if by_rows:
+        suffix_link = _links_by_rows(
+            strings, lcps, lens, firsts, top, branched, alphabet, parent, depth, start, leaf_of
+        )
+    else:
+        del lcps, lens, firsts
+        suffix_link = _links_by_chase(
+            strings, labels, next_sibling, parent, depth, start, leaf_of
+        )
+    return OverlapTrie(
+        kind=KIND_ACT,
+        strings=ss,
+        parent=parent,
+        depth=depth,
+        suffix_link=suffix_link,
+        start=start,
+        end=end,
+        leaf_of=leaf_of,
+    )
+
+
+def _nodes_to_depth(lcps: array, lens: array, d: int) -> int:
+    """The number of trie nodes no deeper than ``d``: string ``j`` makes one
+    at each depth from its lcp + 1 to its length."""
+    return 1 + sum(map(min, lens, repeat(d))) - sum(map(min, lcps, repeat(d)))
+
+
+def _alphabet(strings: tuple[bytes, ...]) -> bytes:
+    """The distinct bytes of ``strings``, ascending; each string is searched
+    in C for a byte not seen before."""
+    alphabet = b""
+    for s in strings:
+        if s.translate(None, alphabet):
+            alphabet = bytes(sorted(set(alphabet).union(s)))
+    return alphabet
+
+
+def _agree(s: bytes, i: int, t: bytes, j: int) -> int:
+    """Length of the common prefix of ``s[i:]`` and ``t[j:]``, read in
+    widths doubling from 8 bytes, so that a short one costs one small
+    ``_lcp``."""
+    run = 0
+    width = 8
+    while True:
+        got = _lcp(s[i + run : i + run + width], t[j + run : j + run + width])
+        run += got
+        if got < width:  # a mismatch, or the end of s or t
+            return run
+        width *= 2
+
+
+def _copy_run(suffix_link: array, parent: array, c: int, x: int, run: int) -> None:
+    """Link ``c + 1 .. c + run`` to ``x + 1 .. x + run``, the first-child
+    chain below ``x``: along it each node's parent is the id before it, so
+    the ids are a slice of ``parent`` (the last written alone: ``x + run``
+    may be the last id)."""
+    suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
+    suffix_link[c + run] = x + run
+
+
+def _node_of(strings: tuple[bytes, ...], leaf_of: array, key: bytes) -> int:
+    """The node that spells ``key``, or ``-1``: the first of the sorted
+    strings that start with ``key`` made it, fresh past its lcp."""
+    j = bisect_left(strings, key)
+    if j == len(strings) or not strings[j].startswith(key):
+        return -1
+    return leaf_of[j + 1] - len(strings[j]) + len(key)
+
+
+class _Parked:
+    """Nodes whose suffix link waits for one not filled yet, by depth.
+
+    A node is parked at its own depth, and with it the rest of its string's
+    tail, which hangs below it.  :meth:`resumed` gives them back in ascending
+    depth, when every shallower link is final, so a resumed tail parks only
+    deeper.  A bucket is made only for a depth that gets a node.
+    """
+
+    def __init__(self) -> None:
+        self.buckets: dict[int, array] = {}
+        self.depths: list[int] = []  # a heap of the buckets' depths
+
+    def park(self, c: int, d: int) -> None:
+        bucket = self.buckets.get(d)
+        if bucket is None:
+            bucket = self.buckets[d] = array("i")
+            heappush(self.depths, d)
+        bucket.append(c)
+
+    def resumed(self, leaf_of: array, start: array) -> Iterator[tuple[int, int]]:
+        """Each parked node with the last node of its tail, its string's."""
+        while self.depths:
+            for c in self.buckets.pop(heappop(self.depths)):
+                yield c, leaf_of[start[c]]
+
+
+def _links_by_chase(
+    strings: tuple[bytes, ...],
+    labels: bytearray,
+    next_sibling: array,
+    parent: array,
+    depth: array,
+    start: array,
+    leaf_of: array,
+) -> array:
+    """Suffix links by the classic fallback chase over the parent's link,
+    walking the nodes in id order: string by string, each string's tail of
+    fresh nodes top-down.
+
+    A target's first child costs one read of ``kid`` and only its later
+    children a sibling walk.  A chase that meets a link not yet filled (a
+    later string's tail) parks its node and skips the rest of that tail.
+    """
+    n_nodes = len(parent)
     # kid[w]: the edge byte of w's first child w + 1, or -1 at a leaf.  Each
     # label byte goes to the low byte of its short through a byte view, with
     # no Python int per node; then the leaves are set to -1: each is a
@@ -326,24 +505,16 @@ def build_act(ss: StringSet) -> OverlapTrie:
     with memoryview(kid) as shorts, shorts.cast("B") as octets:
         octets[0 if sys.byteorder == "little" else 1 : 2 * n_nodes - 2 : 2] = labels
     kid[-1] = -1
-    for v in islice(leaf_of, 1, k):
+    for v in islice(leaf_of, 1, len(strings)):
         if parent[v + 1] != v:
             kid[v] = -1
 
     suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
     suffix_link[0] = 0
-    # deferred[d]: the nodes of depth d whose chase met an unresolved link,
-    # made only for a depth that gets one; depths is the heap of its keys
-    deferred: dict[int, array] = {}
-    depths: list[int] = []
+    parked = _Parked()
+    park = parked.park
 
-    def resumed():
-        # in ascending depth: a resumed node's tail defers only deeper
-        while depths:
-            for c in deferred.pop(heappop(depths)):
-                yield c, leaf_of[start[c]]
-
-    for c, last in chain([(1, n_nodes - 1)], resumed()):
+    for c, last in chain([(1, n_nodes - 1)], parked.resumed(leaf_of, start)):
         streak = 0
         while c <= last:
             u = parent[c]
@@ -364,11 +535,7 @@ def build_act(ss: StringSet) -> OverlapTrie:
                 else:
                     # resume c once every shallower link is final; the rest
                     # of its string's tail hangs below it
-                    d = depth[c]
-                    if d not in deferred:
-                        deferred[d] = array("i")
-                        heappush(depths, d)
-                    deferred[d].append(c)
+                    park(c, depth[c])
                     c = leaf_of[start[c]] + 1
                     streak = 0
                     continue
@@ -387,36 +554,159 @@ def build_act(ss: StringSet) -> OverlapTrie:
             else:
                 # c's tail spells s, and the first-child chain below x
                 # spells t up to t's end: both go on while their bytes agree
-                s = strings[start[c] - 1]
-                t = strings[start[x] - 1]
-                dc = depth[c]
-                dx = depth[x]
-                run = 0
-                width = 8
-                while True:
-                    got = _lcp(s[dc + run : dc + run + width], t[dx + run : dx + run + width])
-                    run += got
-                    if got < width:  # a mismatch, or the end of s or t
-                        break
-                    width *= 2
-                # the chain's ids are x + 1 .. x + run, and each one's parent
-                # is the id before it
-                suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
-                suffix_link[c + run] = x + run
+                run = _agree(strings[start[c] - 1], depth[c], strings[start[x] - 1], depth[x])
+                _copy_run(suffix_link, parent, c, x, run)
                 c += run
                 streak = 0
             c += 1
+    return suffix_link
 
-    return OverlapTrie(
-        kind=KIND_ACT,
-        strings=ss,
-        parent=parent,
-        depth=depth,
-        suffix_link=suffix_link,
-        start=start,
-        end=end,
-        leaf_of=leaf_of,
+
+def _links_by_rows(
+    strings: tuple[bytes, ...],
+    lcps: array,
+    lens: array,
+    firsts: array,
+    top: int,
+    branched: int,
+    alphabet: bytes,
+    parent: array,
+    depth: array,
+    start: array,
+    leaf_of: array,
+) -> array:
+    """Suffix links from Aho–Corasick transition rows of the nodes no deeper
+    than ``top``, and runs of the automaton below; no node deeper than
+    ``branched`` branches.
+
+    A row is a list: entry ``a`` is the node reached by the byte of code
+    ``a`` (the row's node's child, else its suffix link's entry), as that
+    node's row, or ``()`` for a node deeper than ``top``; the last entry is
+    the row's node id.  Rows are made level by level, each a copy of its
+    node's link's row with the node's children written over it.
+
+    A run starts at the row of the link of a node's parent: ``accumulate``
+    reads the string's codes in C, and each state's id is the next node's
+    link.  It stops at ``()``, a node of depth ``top + 1``, found among the
+    sorted strings.  From a deep link ``x``, the links follow ``x``'s
+    first-child chain while the two strings agree, then ``x``'s other child
+    if it branches, then the chase goes on through deep links until a
+    shallow one starts the next run.  A deep link not filled yet parks the
+    node.
+    """
+    n_nodes = len(parent)
+    sigma = len(alphabet)
+    table = bytearray(256)  # byte -> code
+    for code, b in enumerate(alphabet):
+        table[b] = code
+    table = bytes(table)
+    suffix_link = array("i", [-1]) * n_nodes  # -1: not filled yet
+    suffix_link[0] = 0
+
+    # the nodes of each depth 1 .. top + 1, in id order
+    levels = [array("i") for _ in range(top + 2)]
+    for f, lcp, m in zip(firsts, lcps, lens):
+        for d, c in zip(range(lcp + 1, min(m, top + 1) + 1), count(f)):
+            levels[d].append(c)
+
+    root = [None] * (sigma + 1)
+    root[:sigma] = [root] * sigma
+    root[sigma] = 0
+    made = [root]  # every row, to break their cycles at the end
+    # the level above: its ids, their rows and their suffix links' rows
+    up_ids, up_rows, up_links = array("i", [0]), [root], [root]
+    for d in range(1, top + 2):
+        ids = levels[d]
+        levels[d] = None
+        rows = []
+        links = []
+        i = 0
+        for c in ids:
+            p = parent[c]
+            while up_ids[i] != p:  # parents ascend with their children
+                i += 1
+            a = table[strings[start[c] - 1][d - 1]]
+            link = up_links[i][a] if p else root
+            suffix_link[c] = link[sigma]
+            if d > top:
+                up_rows[i][a] = ()
+                continue
+            # filled once this level is written into the level above, which
+            # may hold the row of c's link
+            rows.append(row := [None] * (sigma + 1))
+            links.append(link)
+            up_rows[i][a] = row
+        for c, row, link in zip(ids, rows, links):
+            row[:] = link
+            row[sigma] = c
+        made += rows
+        up_ids, up_rows, up_links = ids, rows, links
+    del levels, up_ids, up_rows, up_links, rows, links
+
+    at_id = itemgetter(sigma)
+    parked = _Parked()
+    # each string's first fresh node below depth top + 1, and its last node
+    heads = (
+        (leaf - m + max(top + 2, lcp + 1), leaf)
+        for leaf, m, lcp in zip(islice(leaf_of, 1, None), lens, lcps)
+        if m > top + 1
     )
+    for c, last in chain(heads, parked.resumed(leaf_of, start)):
+        s = strings[start[c] - 1]
+        codes = memoryview(s.translate(table))
+        d = depth[c]  # c's edge byte is s[d - 1]
+        x = suffix_link[parent[c]]
+        while True:
+            if x == -1:
+                parked.park(c, d)
+                break
+            dx = depth[x]
+            if dx > top:
+                # x's first child is x + 1, on x's own string t
+                t = strings[start[x] - 1]
+                if dx < len(t) and t[dx] == s[d - 1]:
+                    run = _agree(s, d - 1, t, dx)
+                    _copy_run(suffix_link, parent, c - 1, x, run)
+                    c += run
+                    if c > last:
+                        break
+                    d += run
+                    x += run
+                    dx += run
+                # no deeper than the largest lcp, x may have other children
+                if dx <= branched and (y := _node_of(strings, leaf_of, s[d - 1 - dx : d])) != -1:
+                    x = suffix_link[c] = y
+                    c += 1
+                    if c > last:
+                        break
+                    d += 1
+                else:
+                    x = suffix_link[x]
+                continue
+            # x spells the dx bytes before c's edge byte
+            row = reduce(getitem, codes[d - 1 - dx : d - 1], root)
+            out = array("i")
+            try:
+                out.extend(islice(map(at_id, accumulate(codes[d - 1 :], getitem, initial=row)), 1, None))
+            except IndexError:
+                pass
+            got = len(out)
+            suffix_link[c : c + got] = out
+            c += got
+            if c > last:
+                break
+            # the run stopped at a deep state, ``()``: c's link is the node
+            # of depth top + 1 that ends at c's edge byte
+            d += got
+            x = suffix_link[c] = _node_of(strings, leaf_of, s[d - 1 - top : d])
+            c += 1
+            if c > last:
+                break
+            d += 1
+    # rows point at each other: clear them, so that they are freed now
+    for row in made:
+        row.clear()
+    return suffix_link
 
 
 def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
@@ -492,14 +782,21 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
 
 def _misses(column: array, i: int = 0) -> Iterator[int]:
     """The indices of ``column``'s ``-1`` entries from ``i`` on, each found
-    by a C-level scan; an entry may be rewritten once it is yielded."""
-    try:
-        while True:
-            i = column.index(-1, i)
-            yield i
-            i += 1
-    except ValueError:
-        return
+    by a C-level search of a copy of its bytes for an all-ones entry; an
+    entry may be rewritten once it is yielded.
+
+    Ids are at least ``-1``, so an entry other than ``-1`` has a top byte of
+    at most 0x7f, and an all-ones window that straddles two entries holds a
+    ``-1`` entry's top byte: the first match is that entry, at its own
+    offset (little-endian) or at the next one (big-endian).
+    """
+    width = column.itemsize
+    ones = b"\xff" * width
+    octets = column.tobytes()
+    while (at := octets.find(ones, width * i)) != -1:
+        i = (at + width - 1) // width
+        yield i
+        i += 1
 
 
 def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:

@@ -23,6 +23,7 @@ from .trie import (
     KIND_HOG,
     OverlapTrie,
     build_act,
+    build_act_unchecked,
     contract,
     contract_unchecked,
     verify_structure,
@@ -185,13 +186,21 @@ def check_queries(ss: StringSet, *structures: OverlapTrie) -> list[str]:
     return problems
 
 
+def _differing(a: OverlapTrie, b: OverlapTrie, what: str) -> list[tuple[str, str]]:
+    """One ``structure`` problem per stored column in which ``a`` and ``b``
+    differ, ``what`` followed by the column's name."""
+    return [("structure", f"{what} {c}") for c in COLUMNS if getattr(a, c) != getattr(b, c)]
+
+
 def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     """Run every cross-check on one small string set.
 
     Returns one ``(check, message)`` pair per failure, ``check`` one of
     :data:`CHECKS`: ``structure`` (audits of the full, extended and minimal
-    graphs, minimal ⊆ extended ⊆ full as string sets, and the same minimal
-    columns from both of ``contract``'s ways of taking the kept nodes),
+    graphs, minimal ⊆ extended ⊆ full as string sets, the same full-trie
+    columns from both of ``build_act``'s ways of filling suffix links, and
+    the same minimal columns from both of ``contract``'s ways of taking the
+    kept nodes),
     ``sets`` (node and marked sets against their oracles), ``vectors`` (one
     of the four markers differs, on the full trie or the extended graph,
     from the oracle's vector: the nodes whose strings are in the brute-force
@@ -203,6 +212,12 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     want_h = brute_force_ov(strings) | set(strings) | {b""}
 
     act = build_act(ss)
+    # build_act fills suffix links by rows or by the chase; both ways must
+    # build the same columns
+    problems += _differing(
+        build_act_unchecked(ss, True), build_act_unchecked(ss, False),
+        "act: the two ways of filling suffix links differ in",
+    )
     ehog = contract(act, mark_ehog(act), KIND_EHOG)
     for t in (act, ehog):
         ref = bytes(t.node_string(v) in want_h for v in range(t.n_nodes))
@@ -224,11 +239,11 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     hog = contract(ehog, ref, KIND_HOG)
     # contract takes the kept nodes by runs or one by one; both ways must
     # build the same columns
-    by_runs = contract_unchecked(ehog, ref, KIND_HOG, True)
-    one_by_one = contract_unchecked(ehog, ref, KIND_HOG, False)
-    for c in COLUMNS:
-        if getattr(by_runs, c) != getattr(one_by_one, c):
-            problems.append(("structure", f"hog: the two ways of taking kept nodes differ in {c}"))
+    problems += _differing(
+        contract_unchecked(ehog, ref, KIND_HOG, True),
+        contract_unchecked(ehog, ref, KIND_HOG, False),
+        "hog: the two ways of taking kept nodes differ in",
+    )
 
     nodes = {}
     for t, want in ((act, None), (ehog, brute_ehog_strings(strings)), (hog, want_h)):

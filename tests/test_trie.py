@@ -3,6 +3,7 @@
 import random
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hog.datasets import StringSet, generate_random, normalize
 from hog.ehog import mark_ehog
 from hog.marking import mark_hog_new
 import hog.trie
+import hog.verify
 from hog.trie import (
     COLUMNS,
     KIND_ACT,
@@ -20,14 +22,16 @@ from hog.trie import (
     KIND_HOG,
     _iota,
     _lcp,
+    _misses,
     build_act,
+    build_act_unchecked,
     contract,
     contract_unchecked,
     leaf_intervals,
     to_text,
     verify_structure,
 )
-from hog.verify import FAMILIES
+from hog.verify import FAMILIES, _fibonacci_word, verify_instance
 
 FIG1_ACT_STRINGS = {
     b"", b"a", b"aa", b"aab", b"aaba", b"aabaa",
@@ -202,11 +206,158 @@ def equal_length_acgt_sets(draw):
                          .map(str.encode), min_size=1, max_size=40))
 
 
-@given(sampled_reads() | full_byte_sets | equal_length_acgt_sets())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def self_overlapping_sets(draw):
+    """Periodic, Fibonacci and unary strings, cut at random offsets: long
+    self-overlaps, whose deep links wait for other deep links."""
+    unit = draw(st.sampled_from(["a", "ab", "aab", "abaab", "fib"]))
+    text = (_fibonacci_word(300) if unit == "fib" else unit.encode() * 300)
+    cuts = st.tuples(st.integers(0, 12), st.integers(1, 150))
+    return [text[a : a + m] for a, m in draw(st.lists(cuts, min_size=1, max_size=12))]
+
+
+#: long strings over all 256 bytes: rows of 257 entries
+wide_sets = st.lists(st.binary(min_size=20, max_size=200), min_size=1, max_size=5)
+
+
+@st.composite
+def run_to_the_last_id(draw):
+    """``b"ab" + w`` links down the chain of ``b"b" + w``, the last string,
+    whose last node is the last id."""
+    w = draw(st.binary(min_size=1, max_size=40))
+    return [b"ab" + w, b"b" + w] + draw(st.lists(st.binary(max_size=3).map(b"a".__add__), max_size=3))
+
+
+@st.composite
+def mostly_shallow_sets(draw):
+    """Many short strings and one to three long ones: the long tails run
+    deep, but the rows that fit the budget stop above many short strings'
+    links."""
+    short = st.text(alphabet="ACGT", min_size=2, max_size=6).map(str.encode)
+    long = st.text(alphabet="ab", min_size=40, max_size=150).map(str.encode)
+    return draw(st.lists(short, min_size=20, max_size=60)) + draw(st.lists(long, min_size=1, max_size=3))
+
+
+@given(
+    sampled_reads() | full_byte_sets | equal_length_acgt_sets() | self_overlapping_sets()
+    | wide_sets | run_to_the_last_id() | mostly_shallow_sets()
+)
+@settings(max_examples=400, deadline=None)
 def test_suffix_links_match_breadth_first(raw):
-    act = build_act(normalize(raw))
+    ss = normalize(raw)
+    act = build_act(ss)
+    want = bfs_suffix_links(act)
+    assert act.suffix_link == want
+    # either way of filling the links, whichever build_act chose
+    for by_rows in (True, False):
+        t = build_act_unchecked(ss, by_rows)
+        for c in COLUMNS:
+            assert getattr(t, c) == getattr(act, c), (by_rows, c)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_suffix_link_ways_agree_on_families(family):
+    ss = normalize(FAMILIES[family])
+    by_rows = build_act_unchecked(ss, True)
+    by_chase = build_act_unchecked(ss, False)
+    for c in COLUMNS:
+        assert getattr(by_rows, c) == getattr(by_chase, c), c
+    assert by_rows.suffix_link == bfs_suffix_links(by_rows)
+
+
+def routes_taken(monkeypatch, ss):
+    """How ``build_act`` filled ``ss``'s suffix links: ``("rows", depth of the
+    deepest rows)`` or ``("chase",)``."""
+    taken = []
+    rows, chase = hog.trie._links_by_rows, hog.trie._links_by_chase
+    monkeypatch.setattr(hog.trie, "_links_by_rows", lambda *a: taken.append(("rows", a[4])) or rows(*a))
+    monkeypatch.setattr(hog.trie, "_links_by_chase", lambda *a: taken.append(("chase",)) or chase(*a))
+    act = build_act(ss)
     assert act.suffix_link == bfs_suffix_links(act)
+    return taken
+
+
+def row_plan(ss):
+    """The rows ``build_act`` may make, from the full trie: the deepest depth,
+    up to the largest lcp, whose nodes' rows (``8 * (σ + 13)`` bytes each,
+    and 40 a string) fit in ``_ROWS_MAX_BYTES_PER_NODE`` bytes per node, and
+    the share of links expected deeper: the nodes one deeper among all
+    strings of that length."""
+    act = build_act(ss)
+    branched = max(map(_lcp, ss.strings, (b"",) + ss.strings))
+    sigma = len(set(b"".join(ss.strings)))
+    budget = hog.trie._ROWS_MAX_BYTES_PER_NODE * act.n_nodes - 40 * ss.k
+    top = max(d for d in range(branched + 1)
+              if d == 0 or sum(e <= d for e in act.depth) * 8 * (sigma + 13) <= budget)
+    return top, Fraction(act.depth.count(top + 1), sigma ** (top + 1))
+
+
+def test_build_act_takes_the_chase_where_no_string_runs_past_the_branching(monkeypatch):
+    # 10-byte strings and a largest lcp of 9: no node below the deepest
+    # branching node has a child, so runs would have next to nothing to fill
+    ss = generate_random(2_000, 20_000, b"ACGT", 1)
+    assert max(map(_lcp, ss.strings, (b"",) + ss.strings)) + 1 >= 10
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
+
+
+def test_build_act_takes_rows_where_few_links_run_deeper(monkeypatch):
+    # 100-byte random DNA, the benchmark's long shape: rows for about 5% of
+    # the nodes, and a link deeper than them for about 1 node in 200
+    ss = generate_random(400, 40_000, b"ACGT", 7)
+    top, share = row_plan(ss)
+    assert share <= hog.trie._ROWS_MAX_DEEP_SHARE
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    # the share is the limit: at the expected share rows, just under it the
+    # chase
+    monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", share)
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", share * Fraction(999, 1000))
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
+    # a smaller budget makes shallower rows
+    monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 1)
+    monkeypatch.setattr(hog.trie, "_ROWS_MAX_BYTES_PER_NODE", 2)
+    shallower = row_plan(ss)[0]
+    assert shallower < top
+    assert routes_taken(monkeypatch, ss) == [("rows", shallower)]
+
+
+def test_build_act_takes_rows_deep_over_all_256_bytes(monkeypatch):
+    # a shared prefix of 150 bytes: rows down to depth 129 fit the budget,
+    # and 256 ** 130 is past the float range
+    rng = random.Random(3)
+    prefix = bytes(rng.randrange(256) for _ in range(150))
+    raw = [prefix + bytes(rng.randrange(256) for _ in range(20_000)) for _ in range(2)]
+    ss = normalize(raw)
+    top, share = row_plan(ss)
+    assert top == 129 and share < 1e-300
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    assert build_act(ss).suffix_link == build_act_unchecked(ss, False).suffix_link
+
+
+def test_verify_reports_suffix_link_ways_that_differ(monkeypatch):
+    def skewed(ss, by_rows):
+        t = build_act_unchecked(ss, by_rows)
+        if by_rows:
+            t.suffix_link[-1] = 0
+        return t
+
+    monkeypatch.setattr(hog.verify, "build_act_unchecked", skewed)
+    problems = verify_instance(normalize([b"abab", b"bab"]))
+    assert problems == [
+        ("structure", "act: the two ways of filling suffix links differ in suffix_link")
+    ]
+
+
+def test_build_act_takes_the_chase_where_many_links_run_deeper(monkeypatch):
+    # 3,000 short strings and two long ones: the long tails run deep, but
+    # rows fit the budget only to a depth whose links the short strings
+    # overrun
+    rng = random.Random(2)
+    raw = [bytes(rng.choice(b"ACGT") for _ in range(rng.randint(3, 8))) for _ in range(3_000)]
+    raw += [bytes(rng.choice(b"ab") for _ in range(500)) for _ in range(2)]
+    ss = normalize(raw)
+    assert row_plan(ss)[1] > hog.trie._ROWS_MAX_DEEP_SHARE
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
 
 
 def test_suffix_links_where_a_string_prefixes_the_next():
@@ -250,8 +401,9 @@ def test_random_dna_suffix_links_match_breadth_first():
 
 
 def test_build_act_traced_peak_per_node():
-    # the suffix-link pass holds the output columns, next_sibling (4 bytes
-    # per node), kid (2) and labels (1); the returned trie holds 20
+    # 100-byte strings: the links are filled by rows, about 6 bytes per
+    # node, beside the output columns; the chase would hold next_sibling (4
+    # bytes per node), kid (2) and labels (1); the returned trie holds 20
     ss = generate_random(400, 40_000, b"ACGT", 7)
     build_act(ss)  # the first call pays one-time allocations
     act, peak = measure_peak_memory(lambda: build_act(ss))
@@ -391,6 +543,17 @@ def test_iota_writes_the_fourth_byte_plane():
     assert len(ids) == n
     assert ids[::9973] == array("i", range(0, n, 9973))
     assert ids[-100_000:] == array("i", range(n - 100_000, n))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_misses_finds_each_minus_one_among_near_misses(seed):
+    # entries with three or four 0xff bytes next to a -1 entry: an all-ones
+    # window that straddles two entries must not count
+    rng = random.Random(seed)
+    near = [-1, 0, 2**31 - 1, 0x00FFFFFF, 0xFFFF, 0x7FFFFF7F, -1 & 0x7FFFFFFF, 255]
+    column = array("i", (rng.choice(near) for _ in range(rng.randint(0, 64))))
+    i = rng.randint(0, len(column))
+    assert list(_misses(column, i)) == [v for v in range(i, len(column)) if column[v] == -1]
 
 
 # -- contraction --------------------------------------------------------------
