@@ -14,9 +14,14 @@ used by the trie layer.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import chain, compress, count, pairwise, starmap
+from operator import ne
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -31,6 +36,15 @@ class SplitMix64:
     modulo step is exactly uniform when the alphabet size divides 256 (in
     particular for sizes 1, 2 and 4) and carries a bias of at most 1/64 for
     other sizes ≤ 64.
+
+    :meth:`byte_block` computes up to ``_CHUNK`` words at once, each in its
+    own 128-bit lane of one Python int, so every xor-shift and multiply is
+    one big-int operation over the chunk.  The lanes are exact: every lane
+    is masked to 64 bits before each multiply, so each lane's product stays
+    below 2**128 and no carry or shifted-in bit crosses into another lane's
+    low 64 bits, which are all that is kept.  The words come out in stream
+    order, so :meth:`byte_block` equals :meth:`next_u64` called once per
+    8 bytes, and leaves the state where those calls would.
     """
 
     __slots__ = ("_state",)
@@ -39,7 +53,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -47,11 +61,44 @@ class SplitMix64:
 
     def byte_block(self, nbytes: int) -> bytearray:
         """Return the next ``nbytes`` bytes of the stream (little-endian per word)."""
-        out = bytearray()
-        for _ in range((nbytes + 7) // 8):
-            out += self.next_u64().to_bytes(8, "little")
+        words = (nbytes + 7) // 8
+        out = bytearray(8 * words)
+        state = self._state
+        with memoryview(out) as view, view.cast("Q") as dst:
+            for a in range(0, words, _CHUNK):
+                m = min(_CHUNK, words - a)
+                ones, steps, low = _LANES
+                if m < _CHUNK:
+                    keep = (1 << 128 * m) - 1
+                    ones, steps, low = ones & keep, steps & keep, low & keep
+                # lane i holds the state after i + 1 steps, then its output
+                z = (state * ones + steps) & low
+                z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+                z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+                z ^= z >> 31
+                # a lane's low 8 bytes are every other 8-byte item
+                with memoryview(z.to_bytes(16 * m, "little")) as src, src.cast("Q") as lanes:
+                    dst[a : a + m] = lanes[::2]
+                state = (state + m * _GAMMA) & _MASK64
+        self._state = state
         del out[nbytes:]
         return out
+
+
+def _lanes(values: Iterable[int]) -> int:
+    """One int holding ``values`` in consecutive 128-bit lanes, the first
+    lowest; built from little-endian bytes, so it does not depend on
+    ``sys.byteorder``."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+_CHUNK = 4096  # words per big-int step of SplitMix64.byte_block
+# per lane i: 1, (i + 1) * gamma, and the 64-bit mask
+_LANES = (
+    _lanes([1] * _CHUNK),
+    _lanes(range(_GAMMA, (_CHUNK + 1) * _GAMMA, _GAMMA)),
+    _lanes([_MASK64] * _CHUNK),
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +124,7 @@ class StringSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", len(self.strings))
-        object.__setattr__(self, "n", sum(len(s) for s in self.strings))
+        object.__setattr__(self, "n", sum(map(len, self.strings)))
 
     def string(self, j: int) -> bytes:
         """Return string ``j`` (1-based sorted index)."""
@@ -99,11 +146,10 @@ def normalize(raw: list[bytes]) -> StringSet:
     """
     if not raw:
         raise ValueError("string set is empty")
-    for pos, s in enumerate(raw, 1):
-        if not s:
-            raise ValueError(f"empty string at input position {pos}")
+    if not all(raw):
+        raise ValueError(f"empty string at input position {raw.index(b'') + 1}")
     ordered = sorted(set(raw))
-    rank = {s: j for j, s in enumerate(ordered, 1)}
+    rank = dict(zip(ordered, count(1)))
     return StringSet(
         strings=tuple(ordered),
         orig_to_sorted=(0, *map(rank.__getitem__, raw)),
@@ -168,11 +214,21 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
 
     Lengths are balanced: the first ``n % k`` strings get ``n // k + 1``
     bytes, the rest ``n // k``.  Bytes come from a seeded :class:`SplitMix64`
-    stream (see its docstring for the exact derivation), so results are
-    reproducible bit-for-bit across platforms.  Collisions are resolved by
-    redrawing the colliding string from the continuing stream; if ``k``
-    distinct strings cannot be produced (tiny alphabet, short lengths) a
-    ``ValueError`` is raised rather than returning fewer.
+    stream (see its docstring for the exact derivation, and for why its
+    128-bit lanes give exactly the word-by-word stream), so results are
+    reproducible bit-for-bit across platforms.  The strings are cut in order
+    from the stream's first ``n`` bytes.  A string equal to an earlier one is
+    redrawn from the continuing stream until it differs from every earlier
+    string; if ``k`` distinct strings cannot be produced (tiny alphabet,
+    short lengths) a ``ValueError`` is raised rather than returning fewer.
+
+    Only the positions that need a redraw are visited, in ascending order
+    from a heap: first the repeats, found with a dict of each string's first
+    position, then any later string whose first occurrence a redraw
+    produced.  A position is redrawn only after every earlier one is
+    settled, and a redraw is kept under the same rule, so the stream is read
+    in the same order, and gives the same strings and error, as one pass
+    that checks each string in turn.
     """
     if k <= 0 or n <= 0:
         raise ValueError("k and n must be positive")
@@ -180,29 +236,44 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
         raise ValueError(f"total length n={n} cannot cover k={k} non-empty strings")
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
-    alphabet = bytes(sorted(set(alphabet)))
+    return normalize(_random_strings(k, n, bytes(sorted(set(alphabet))), seed))
+
+
+def _random_strings(k: int, n: int, alphabet: bytes, seed: int) -> list[bytes]:
+    """:func:`generate_random`'s strings in input order, for ``normalize``;
+    the block, the first-position dict and the redraws' set are freed on
+    return."""
     table = bytes(alphabet[b % len(alphabet)] for b in range(256))
-
     base, extra = divmod(n, k)
-    lengths = [base + 1] * extra + [base] * (k - extra)
+    cut = extra * (base + 1)
     rng = SplitMix64(seed)
-    block = rng.byte_block(n).translate(table)
-
-    raw: list[bytes] = []
-    seen: set[bytes] = set()
-    pos = 0
-    for length in lengths:
-        s = bytes(block[pos : pos + length])
-        pos += length
-        redraws = 0
-        while s in seen:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise ValueError(
-                    f"cannot generate {k} distinct strings of length ~{base} "
-                    f"over a {len(alphabet)}-letter alphabet"
-                )
-            s = bytes(rng.byte_block(length).translate(table))
-        seen.add(s)
-        raw.append(s)
-    return normalize(raw)
+    block = bytes(rng.byte_block(n)).translate(table)
+    bounds = chain(range(0, cut, base + 1), range(cut, n + 1, base))
+    raw = list(map(block.__getitem__, starmap(slice, pairwise(bounds))))
+    del block
+    first = dict(zip(reversed(raw), range(k - 1, -1, -1)))
+    if len(first) == k:
+        return raw
+    pending = list(compress(range(k), map(ne, map(first.__getitem__, raw), count())))
+    drawn: set[bytes] = set()
+    while pending:
+        pos = heappop(pending)
+        length = base + (pos < extra)
+        # the strings kept before ``pos`` are the redraws and every raw
+        # string first seen at or before ``pos`` (one first seen at a
+        # redrawn position equals an earlier string)
+        for _ in range(_MAX_REDRAWS):
+            s = bytes(rng.byte_block(length)).translate(table)
+            later = first.get(s, k)
+            if later > pos and s not in drawn:
+                break
+        else:
+            raise ValueError(
+                f"cannot generate {k} distinct strings of length ~{base} "
+                f"over a {len(alphabet)}-letter alphabet"
+            )
+        raw[pos] = s
+        drawn.add(s)
+        if later < k:
+            heappush(pending, later)
+    return raw

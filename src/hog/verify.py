@@ -49,10 +49,13 @@ def _random_bytes(seed: int, k: int) -> list[bytes]:
     ]
 
 
+_ACGT = bytes(b"ACGT"[b % 4] for b in range(256))
+
+
 def _sampled_reads(seed: int, genome_len: int, k: int, lo: int, hi: int) -> list[bytes]:
     """``k`` reads of ``lo..hi`` bytes at seeded positions of one ACGT genome."""
     rng = SplitMix64(seed)
-    genome = bytes(b"ACGT"[b % 4] for b in rng.byte_block(genome_len))
+    genome = bytes(rng.byte_block(genome_len)).translate(_ACGT)
     reads = []
     for _ in range(k):
         length = lo + rng.next_u64() % (hi - lo + 1)
