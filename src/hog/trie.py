@@ -27,8 +27,9 @@ transition row per node down to a depth chosen so that the rows take at
 most 7 bytes per node (about ``8 * (σ + 13)`` bytes a row, for σ distinct
 bytes) and nothing per node beside the columns: a traced peak of 20.7 bytes
 per node plus the rows, 26.9 on random DNA of 100-byte strings and 21.4 on
-reads.  By the chase, it holds 7 more bytes per node (``next_sibling``, a
-2-byte first-child label and the 1-byte edge labels): about 27 to 30.  It
+reads.  By the chase, one link per step, it holds 7 more bytes per node
+(``next_sibling``, a 2-byte first-child label and the 1-byte edge labels)
+and a table of the root's children: about 27 to 30.  It
 takes the rows where few links are expected deeper than them, and the chase
 otherwise, as with short strings.  Child lists and edge bytes are not stored: in pre-order they
 follow from ``parent`` (a node's children are the ids whose parent it is,
@@ -210,25 +211,28 @@ def _lcp(a: bytes, b: bytes) -> int:
     return m - 1 - (diff.bit_length() - 1) // 8 if diff else m
 
 
+#: bytes 0 and 1 of the ids ``0 .. 2**16 - 1``, one 64 KiB plane each
+_LOW_PLANES = (bytes(range(256)) * 256, b"".join(bytes((b,)) * 256 for b in range(256)))
+
+
 def _iota(n: int) -> array:
     """``array("i", range(n))``, written one byte plane at a time.
 
     Byte ``p`` of id ``i`` is ``(i >> 8p) & 255``.  Over each block of 2**16
-    ids the two low planes are the same two 64 KiB patterns and each higher
-    plane is one constant, so each plane of a block is one strided copy into
-    a byte view of a zeroed column (a zero plane is skipped).  No Python int
-    is made per id, and no temporary exceeds 64 KiB.
+    ids the two low planes are the same two patterns, ``_LOW_PLANES``, and
+    each higher plane is one constant, so each plane of a block is one
+    strided copy into a byte view of a zeroed column (a zero plane is
+    skipped).  No Python int is made per id, and no temporary exceeds 64 KiB.
     """
     out = array("i", [0]) * n
     width = out.itemsize
     block = 1 << 16
-    low_planes = (bytes(range(256)) * 256, b"".join(bytes((b,)) * 256 for b in range(256)))
     with memoryview(out) as ints, ints.cast("B") as octets:
         for a in range(0, n, block):
             m = min(block, n - a)
             for p in range(width):
                 if p < 2:
-                    plane = low_planes[p]
+                    plane = _LOW_PLANES[p]
                 elif (a >> 8 * p) & 255:
                     plane = bytes(((a >> 8 * p) & 255,)) * m
                 else:
@@ -265,19 +269,20 @@ def build_act(ss: StringSet) -> OverlapTrie:
     per node, counted as ``8 * (σ + 13)`` bytes a row for σ distinct bytes
     and 40 a string.  This way makes no ``labels``, ``kid`` or
     ``next_sibling``, so the rows take the place of their 7 bytes per node.
-    By the chase (:func:`_links_by_chase`), the links are found one node at
-    a time from ``labels`` (1 byte per node, each node's edge byte), ``kid``
-    (2) and ``next_sibling`` (4), held beside the output columns.  The rows
+    By the chase (:func:`_links_by_chase`), the links are found one node per
+    step from ``labels`` (1 byte per node, each node's edge byte), ``kid``
+    (2) and ``next_sibling`` (4), held beside the output columns, and a
+    256-entry table of the root's children.  The rows
     are taken where some string runs more than one byte past depth ``L``
     and at most ``_ROWS_MAX_DEEP_SHARE`` of the links are expected deeper
     than ``top`` (the nodes of depth ``top + 1`` among the σ ** (top + 1)
     strings of that length), since each such link costs the runs some
     Python steps; the chase otherwise, as with 20,000 random strings of 10
     bytes.  Either way a node whose link waits for one not filled yet is
-    parked by depth and resumed once every shallower link is final, and
-    where links climb down the first-child chain below a node, the rest of
-    that run is found with one byte-level lcp and copied with one slice of
-    ``parent``.
+    parked by depth and resumed once every shallower link is final.  Below
+    the rows, where links climb down the first-child chain of a deep node,
+    the rest of that run is found with one byte-level lcp and copied with
+    one slice of ``parent``.
     """
     return build_act_unchecked(ss, None)
 
@@ -389,9 +394,7 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
         )
     else:
         del lcps, lens, firsts
-        suffix_link = _links_by_chase(
-            strings, labels, next_sibling, parent, depth, start, leaf_of
-        )
+        suffix_link = _links_by_chase(labels, next_sibling, parent, depth, start, leaf_of)
     return OverlapTrie(
         kind=KIND_ACT,
         strings=ss,
@@ -436,9 +439,9 @@ def _agree(s: bytes, i: int, t: bytes, j: int) -> int:
 
 def _copy_run(suffix_link: array, parent: array, c: int, x: int, run: int) -> None:
     """Link ``c + 1 .. c + run`` to ``x + 1 .. x + run``, the first-child
-    chain below ``x``: along it each node's parent is the id before it, so
-    the ids are a slice of ``parent`` (the last written alone: ``x + run``
-    may be the last id)."""
+    chain below the rows way's deep link ``x``: along it each node's parent
+    is the id before it, so the ids are a slice of ``parent`` (the last
+    written alone: ``x + run`` may be the last id)."""
     suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
     suffix_link[c + run] = x + run
 
@@ -480,7 +483,6 @@ class _Parked:
 
 
 def _links_by_chase(
-    strings: tuple[bytes, ...],
     labels: bytearray,
     next_sibling: array,
     parent: array,
@@ -489,12 +491,17 @@ def _links_by_chase(
     leaf_of: array,
 ) -> array:
     """Suffix links by the classic fallback chase over the parent's link,
-    walking the nodes in id order: string by string, each string's tail of
-    fresh nodes top-down.
+    one link per step, walking the nodes in id order: string by string, each
+    string's tail of fresh nodes top-down.
 
     A target's first child costs one read of ``kid`` and only its later
-    children a sibling walk.  A chase that meets a link not yet filled (a
-    later string's tail) parks its node and skips the rest of that tail.
+    children a sibling walk; the root's child by a byte is one read of
+    ``at_root``, so a chase that falls back to the root walks no siblings.
+    A chase that meets a link not yet filled (a later string's tail) parks
+    its node and skips the rest of that tail.  Along a tail the link's depth
+    grows by at most one a step and falls with each climb, so the climbs are
+    linear in the input's length, if slower on a periodic string than the
+    rows way's run copies.
     """
     n_nodes = len(parent)
     # kid[w]: the edge byte of w's first child w + 1, or -1 at a leaf.  Each
@@ -505,9 +512,15 @@ def _links_by_chase(
     with memoryview(kid) as shorts, shorts.cast("B") as octets:
         octets[0 if sys.byteorder == "little" else 1 : 2 * n_nodes - 2 : 2] = labels
     kid[-1] = -1
-    for v in islice(leaf_of, 1, len(strings)):
+    for v in islice(leaf_of, 1, len(leaf_of) - 1):
         if parent[v + 1] != v:
             kid[v] = -1
+    # at_root[b]: the root's child by byte b, or the root itself
+    at_root = array("i", [0]) * 256
+    x = 1
+    while x != -1:
+        at_root[labels[x - 1]] = x
+        x = next_sibling[x]
 
     suffix_link = array("i", [-1]) * n_nodes  # -1: not resolved yet
     suffix_link[0] = 0
@@ -515,13 +528,12 @@ def _links_by_chase(
     park = parked.park
 
     for c, last in chain([(1, n_nodes - 1)], parked.resumed(leaf_of, start)):
-        streak = 0
         while c <= last:
             u = parent[c]
             if u:
                 b = labels[c - 1]
                 w = suffix_link[u]
-                while w != -1:
+                while w > 0:
                     e = kid[w]
                     if e == b:
                         x = w + 1
@@ -529,35 +541,20 @@ def _links_by_chase(
                     x = -1 if e == -1 else next_sibling[w + 1]
                     while x != -1 and labels[x - 1] != b:
                         x = next_sibling[x]
-                    if x != -1 or w == 0:
+                    if x != -1:
                         break
                     w = suffix_link[w]
                 else:
-                    # resume c once every shallower link is final; the rest
-                    # of its string's tail hangs below it
-                    park(c, depth[c])
-                    c = leaf_of[start[c]] + 1
-                    streak = 0
-                    continue
-                if x == -1:
-                    x = 0
+                    if w:
+                        # resume c once every shallower link is final; the
+                        # rest of its string's tail hangs below it
+                        park(c, depth[c])
+                        c = leaf_of[start[c]] + 1
+                        continue
+                    x = at_root[b]
             else:
-                w = x = 0
+                x = 0
             suffix_link[c] = x
-            # trying a run costs about four single steps and random text
-            # rarely has long ones, so it waits for six first-child steps in
-            # a row (pre-order puts a node's first child right after it)
-            if x != w + 1:
-                streak = 0
-            elif streak < 5:
-                streak += 1
-            else:
-                # c's tail spells s, and the first-child chain below x
-                # spells t up to t's end: both go on while their bytes agree
-                run = _agree(strings[start[c] - 1], depth[c], strings[start[x] - 1], depth[x])
-                _copy_run(suffix_link, parent, c, x, run)
-                c += run
-                streak = 0
             c += 1
     return suffix_link
 

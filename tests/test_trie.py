@@ -360,6 +360,49 @@ def test_build_act_takes_the_chase_where_many_links_run_deeper(monkeypatch):
     assert routes_taken(monkeypatch, ss) == [("chase",)]
 
 
+def chase_line_events(ss):
+    """The full trie of ``ss`` by the chase, and the Python lines run inside
+    ``_links_by_chase`` to fill its suffix links."""
+    lines = 0
+
+    def in_chase(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return in_chase
+
+    def on_call(frame, event, arg):
+        return in_chase if frame.f_code.co_name == "_links_by_chase" else None
+
+    sys.settrace(on_call)
+    try:
+        act = build_act_unchecked(ss, False)
+    finally:
+        sys.settrace(None)
+    return act, lines
+
+
+@pytest.mark.parametrize("raw", [[b"ab" * 5_000], [b"a" * 10_000]], ids=["ab", "unary"])
+def test_chase_is_linear_on_one_periodic_string(raw):
+    # each link is the first child of the parent's link, so each node takes
+    # about 12 lines; a chase that climbed from the root would take
+    # thousands per node here
+    act, lines = chase_line_events(normalize(raw))
+    assert act.n_nodes == 10_001
+    assert act.suffix_link == bfs_suffix_links(act)
+    assert lines <= 20 * act.n_nodes
+
+
+def test_chase_reads_the_root_children_from_a_table(monkeypatch):
+    # 20-byte strings over all 256 bytes: most links are the root or one of
+    # its children, found in one step (about 16 lines a node) where a walk
+    # of the root's 256 children took over 200
+    ss = generate_random(300, 6_000, bytes(range(256)), 1)
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
+    act, lines = chase_line_events(ss)
+    assert act.suffix_link == bfs_suffix_links(act)
+    assert lines <= 40 * act.n_nodes
+
+
 def test_suffix_links_where_a_string_prefixes_the_next():
     # "ACG" and "CG" each end at a node that the next string extends, so
     # that node is a string's last node and has a child
