@@ -49,7 +49,7 @@ independently, for ``verify_structure``'s audit.
 only how it takes the kept nodes follows the share of unmarked nodes.  Where
 few drop (the minimal step on reads; none on random text, a plain copy) it
 copies the kept runs of ids; where many drop (the extended step) it takes
-the kept nodes one by one.
+the kept nodes one by one, by a byte search and chunked ``itemgetter`` reads.
 
 Public API
 ----------
@@ -60,8 +60,8 @@ build_act_unchecked ``build_act`` with its way of filling suffix links forced,
                    for verification
 leaf_intervals     recompute per-node [start, end] ranges (audit only)
 contract           (trie, mark vector) -> contracted trie
-contract_unchecked ``contract``'s body, either way of taking the kept nodes,
-                   unchecked, for verification
+contract_unchecked ``contract``'s body unchecked, taking the kept nodes by runs
+                   or one by one (chunked gathers), for verification
 verify_structure   exhaustive invariant audit, returns violation messages
 to_text            stable line-oriented dump for golden tests / --serialize
 
@@ -70,6 +70,7 @@ A ``MarkVector`` is a plain ``bytearray`` with one 0/1 flag per node id.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from bisect import bisect_left
@@ -742,7 +743,7 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
 #: ``contract`` takes the kept nodes as runs of consecutive ids when at most
 #: this share of the nodes drops, and one by one otherwise: on scattered
 #: drops from the extended graphs of 20,000 short random strings and of 400
-#: reads, the two ways cost the same between 0.30 and 0.32
+#: reads, the two ways cost the same at about 0.26 and 0.31
 _RUNS_MAX_DROP_SHARE = 0.3
 
 
@@ -750,9 +751,9 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     """Contract ``t`` to its marked nodes, concatenating edge labels.
 
     Every marked node's new parent is its nearest marked proper ancestor, and
-    its new suffix link the first marked node on its old suffix chain.  The
-    root and all whole-string nodes must be marked (anything else would
-    break the structure's contracts) and violations raise ``ValueError``.
+    its new suffix link the first marked node on its old suffix chain.  Marks
+    are 0 or 1, and 1 at the root and all whole-string nodes: anything else
+    would break the structure's contracts and raises ``ValueError``.
     Ids stay in ascending old-id order, preserving DFS pre-order and the
     lexicographic child ordering.
 
@@ -764,6 +765,9 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     if len(marks) != n:
         raise ValueError(f"mark vector has {len(marks)} flags for {n} nodes")
     drops = marks.count(0)
+    if drops + marks.count(1) != n:
+        v = next(v for v, m in enumerate(marks) if m > 1)
+        raise ValueError(f"contract: node {v} has mark {marks[v]}, not 0 or 1")
     if not drops:
         # the same columns, copied so that the two structures stay independent
         return replace(t, kind=new_kind, **{c: getattr(t, c)[:] for c in COLUMNS})
@@ -796,6 +800,19 @@ def _misses(column: array, i: int = 0) -> Iterator[int]:
         i += 1
 
 
+_GATHER_CHUNK = 1024  # ids per itemgetter call, which holds them all as ints
+
+
+def _gather(column: array, ids: array) -> array:
+    """``array("i", map(column.__getitem__, ids))``, read in C by one
+    ``itemgetter`` per ``_GATHER_CHUNK`` ids (one id alone gives no tuple)."""
+    out = array("i")
+    for a in range(0, len(ids), _GATHER_CHUNK):
+        got = itemgetter(*ids[a : a + _GATHER_CHUNK])(column)
+        out.extend(got if type(got) is tuple else (got,))
+    return out
+
+
 def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:
     """The new id of the first kept node on old node ``w``'s suffix chain.
 
@@ -822,21 +839,22 @@ def contract_unchecked(
     columns taken, and which of them climb to find their parent: by runs of
     consecutive kept ids, one slice per run, where few nodes drop, and then
     only a node whose parent dropped climbs; or one by one from the list of
-    kept ids, whose Python work is O(kept nodes), where many do, and then
-    every node climbs.  Both build the same columns.
+    kept ids, where many do, and then every node climbs.  That list comes
+    from a C search of the marks for byte 1, with nothing made per dropped
+    node, and columns are read through it by the chunked :func:`_gather`.
+    Both build the same columns.
 
-    Ids are mapped through ``newid``, which is ``-1`` at an unmarked node and
-    at the extra entry ``n`` (so the root's parent stays ``-1``).  A climber
-    finds its nearest kept ancestor from the kept node before it, through
-    the new parents: leaf intervals are laminar, so a node on that chain that
-    is not an ancestor ends before the climber starts, and no later node
-    passes it again.  A suffix link whose target dropped is chased to the
-    first kept node on its old suffix chain, memoized in ``newid``, so the
-    parents are mapped first.  The marks are not checked.
+    Ids are mapped through ``newid``, also by :func:`_gather`; it is ``-1`` at
+    an unmarked node and at the extra entry ``n`` (so the root's parent stays
+    ``-1``).  A climber finds its nearest kept ancestor from the kept node
+    before it, through the new parents: leaf intervals are laminar, so a node
+    on that chain that is not an ancestor ends before the climber starts, and
+    no later node passes it again.  A suffix link whose target dropped is
+    chased to the first kept node on its old suffix chain, memoized in
+    ``newid``, so the parents are mapped first.  The marks are not checked.
     """
     n = t.n_nodes
     newid = array("i", [-1]) * (n + 1)
-    remap = newid.__getitem__
     if by_runs:
         runs = []  # [a, b) of each run of kept ids
         a = 0
@@ -855,15 +873,15 @@ def contract_unchecked(
             return out
 
         # only a kept node whose parent dropped climbs
-        new_parent = array("i", map(remap, take(t.parent)))
+        new_parent = _gather(newid, take(t.parent))
         climbers = _misses(new_parent, 1)
     else:
-        kept = array("i", compress(range(n), marks))  # old ids, ascending
+        kept = array("i", map(re.Match.start, re.finditer(b"\x01", marks)))
         for nv, v in enumerate(kept):
             newid[v] = nv
 
         def take(column: array) -> array:
-            return array("i", map(column.__getitem__, kept))
+            return _gather(column, kept)
 
         new_parent = array("i", [-1]) * len(kept)
         climbers = range(1, len(kept))
@@ -879,7 +897,7 @@ def contract_unchecked(
 
     suffix_link = t.suffix_link
     old_sl = take(suffix_link)
-    new_sl = array("i", map(remap, old_sl))
+    new_sl = _gather(newid, old_sl)
     for nv in _misses(new_sl):
         new_sl[nv] = _chase_to_kept(old_sl[nv], suffix_link, newid)
 
@@ -891,7 +909,7 @@ def contract_unchecked(
         suffix_link=new_sl,
         start=new_start,
         end=new_end,
-        leaf_of=array("i", map(remap, t.leaf_of)),
+        leaf_of=_gather(newid, t.leaf_of),
     )
 
 

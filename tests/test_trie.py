@@ -3,6 +3,7 @@
 import random
 import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hog.trie import (
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
+    _gather,
     _iota,
     _lcp,
     _misses,
@@ -599,6 +601,16 @@ def test_misses_finds_each_minus_one_among_near_misses(seed):
     assert list(_misses(column, i)) == [v for v in range(i, len(column)) if column[v] == -1]
 
 
+@pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2049])
+def test_gather_matches_one_read_per_id(m):
+    # itemgetter of one id (m = 1, and the last chunk of 1,025) returns the
+    # entry, not a tuple; id -1 reads the extra last entry, as in newid
+    rng = random.Random(m)
+    column = array("i", (rng.randrange(-1, 5000) for _ in range(3000))) + array("i", [-1])
+    ids = array("i", [-1][:m] + [rng.randrange(-1, len(column)) for _ in range(m - 1)])
+    assert _gather(column, ids) == array("i", map(column.__getitem__, ids))
+
+
 # -- contraction --------------------------------------------------------------
 
 def test_contract_of_all_marked_is_an_independent_copy():
@@ -782,6 +794,40 @@ def test_contract_routes_agree_on_a_reads_shaped_set():
     assert_routes_agree(e, sparse_marks(e, 4, 0.05))
 
 
+def assert_matches_node_strings(t, kept, ss):
+    """Every column of ``t`` against the sorted node strings ``kept``: the
+    parent is the longest kept proper prefix, the suffix link the longest
+    kept proper suffix, and the interval the strings that start with it."""
+    ids = {x: v for v, x in enumerate(kept)}
+    strings = ss.strings
+    assert t.n_nodes == len(kept)
+    for v, x in enumerate(kept):
+        up = next((ids[x[:i]] for i in range(len(x) - 1, -1, -1) if x[:i] in ids), -1)
+        down = next((ids[x[i:]] for i in range(1, len(x) + 1) if x[i:] in ids), 0)
+        lo = bisect_left(strings, x)
+        hi = lo
+        while hi < len(strings) and strings[hi].startswith(x):
+            hi += 1
+        assert (t.parent[v], t.depth[v], t.suffix_link[v]) == (up, len(x), down), v
+        assert (t.start[v], t.end[v]) == (lo + 1, hi), v
+    assert list(t.leaf_of) == [-1] + [ids[s] for s in strings]
+
+
+def test_contract_ways_agree_across_gather_chunks():
+    # 6,000 extended nodes: the kept counts cross several chunks of _gather
+    act = build_act(generate_random(3000, 30_000, b"ACGT", 1))
+    em = mark_ehog(act)
+    e = contract_unchecked(act, em, KIND_EHOG, False)
+    assert e.n_nodes > 5 * hog.trie._GATHER_CHUNK
+    kept = sorted(act.node_string(v) for v in range(act.n_nodes) if em[v])
+    assert_matches_node_strings(e, kept, act.strings)
+    for seed, share in enumerate((0.0, 0.1, 0.5, 0.9)):
+        marks = sparse_marks(e, seed, share)
+        kept = sorted(e.node_string(v) for v in range(e.n_nodes) if marks[v])
+        assert len(kept) > 2 * hog.trie._GATHER_CHUNK
+        assert_matches_node_strings(assert_routes_agree(e, marks), kept, e.strings)
+
+
 def test_contract_is_linear_when_a_wide_node_gains_many_children():
     # full-bytes: dropping the depth-1 nodes hands their children to the root
     e = build_ehog_of(FAMILIES["full-bytes"])
@@ -829,6 +875,21 @@ def test_contract_route_follows_the_drop_count(monkeypatch):
     assert routes == [
         (True, 1), (True, limit), (False, limit + 1), (False, len(droppable)),
     ]
+
+
+@pytest.mark.parametrize("share", [0.0, 0.02, 0.6])
+def test_contract_rejects_marks_other_than_0_and_1(share):
+    # no drop (the copy), a few drops (by runs) and most dropped (one by
+    # one): each way would read a 2 its own way, so contract rejects it
+    e = build_ehog_of(FAMILIES["full-bytes"])
+    marks = sparse_marks(e, 6, share)
+    drops = marks.count(0)
+    assert (drops == 0) == (share == 0.0)
+    assert (drops <= hog.trie._RUNS_MAX_DROP_SHARE * e.n_nodes) == (share < 0.3)
+    bad = max(v for v in range(e.n_nodes) if marks[v])
+    marks[bad] = 2
+    with pytest.raises(ValueError, match=f"node {bad} has mark 2"):
+        contract(e, marks, KIND_HOG)
 
 
 def test_contract_reports_lowest_unmarked_whole_string():
