@@ -10,8 +10,9 @@ producing bit-identical mark vectors on the same trie:
     deliberately unoptimized as the slow baseline.
 ``parkcpr``
     Walks each suffix-link path and decides "does this subtree still contain
-    an unclaimed target?" with a segment tree over sorted string indices
-    (range count of uncovered positions, range cover, journaled rollback).
+    an unclaimed target?" with a segment tree over sorted string indices:
+    one walk per path node covers the node's range and reports how many
+    positions it newly covered, and a journal rolls each string back.
 ``khan``
     One Euler tour of the trie maintaining, per string id, a stack of the
     suffix-list nodes currently on the root path; at every whole-string node
@@ -151,8 +152,9 @@ def mark_hog_cazaux(
 
 
 class IntervalCoverTree:
-    """Segment tree over positions ``1..k``: count uncovered positions in a
-    range, cover a range, and roll everything back to a checkpoint.
+    """Segment tree over positions ``1..k``: cover a range and report how
+    many of its positions were uncovered, and roll everything back to a
+    checkpoint.
 
     Covering is "assign zero" with pruning: a subtree whose uncovered count
     is already 0 is never entered, which (with the journal) keeps each
@@ -179,44 +181,33 @@ class IntervalCoverTree:
             uncov[node] = uncov[2 * node] + uncov[2 * node + 1]
         self.journal: list[tuple[int, int]] = []
 
-    def uncovered(self, lo: int, hi: int) -> int:
-        """Number of uncovered positions in ``[lo, hi]`` (1-based, inclusive)."""
-        return self._query(1, 1, self.size, lo, hi)
+    def cover(self, lo: int, hi: int) -> int:
+        """Mark every position in ``[lo, hi]`` (1-based, inclusive) covered,
+        journaled, and return how many of them were uncovered before."""
+        return self._cover(1, 1, self.size, lo, hi)
 
-    def _query(self, node: int, nlo: int, nhi: int, lo: int, hi: int) -> int:
-        u = self.uncov[node]
-        if u == 0 or hi < nlo or nhi < lo:
-            return 0
-        if lo <= nlo and nhi <= hi:
-            return u
-        mid = (nlo + nhi) // 2
-        return self._query(2 * node, nlo, mid, lo, hi) + self._query(
-            2 * node + 1, mid + 1, nhi, lo, hi
-        )
-
-    def cover(self, lo: int, hi: int) -> None:
-        """Mark every position in ``[lo, hi]`` covered (journaled)."""
-        self._cover(1, 1, self.size, lo, hi)
-
-    def _cover(self, node: int, nlo: int, nhi: int, lo: int, hi: int) -> None:
+    def _cover(self, node: int, nlo: int, nhi: int, lo: int, hi: int) -> int:
         uncov = self.uncov
         u = uncov[node]
         if u == 0 or hi < nlo or nhi < lo:
-            return
+            return 0
         if lo <= nlo and nhi <= hi:
             # zero at an internal node doubles as a "fully covered" flag:
-            # both query and cover prune on it, so stale child values are
-            # never observed while it is in force, and rollback restores it
+            # cover prunes on it, so stale child values are never observed
+            # while it is in force, and rollback restores it
             self.journal.append((node, u))
             uncov[node] = 0
-            return
+            return u
         mid = (nlo + nhi) // 2
-        self._cover(2 * node, nlo, mid, lo, hi)
-        self._cover(2 * node + 1, mid + 1, nhi, lo, hi)
-        fresh = uncov[2 * node] + uncov[2 * node + 1]
-        if fresh != u:
+        got = self._cover(2 * node, nlo, mid, lo, hi) + self._cover(
+            2 * node + 1, mid + 1, nhi, lo, hi
+        )
+        # a nonzero count always equals its children's sum, so this is
+        # their sum after the cover
+        if got:
             self.journal.append((node, u))
-            uncov[node] = fresh
+            uncov[node] = u - got
+        return got
 
     def checkpoint(self) -> int:
         return len(self.journal)
@@ -237,10 +228,10 @@ def mark_hog_parkcpr(
 ) -> MarkVector:
     """Suffix-path walk deciding marks with an :class:`IntervalCoverTree`.
 
-    A path node is marked iff its sorted-index interval still contains an
-    uncovered position; marking covers the interval, so deeper path nodes
-    (visited first) shadow shallower ones exactly as maximality requires.
-    Each string's covers are rolled back before the next string starts.
+    Each path node covers its sorted-index interval, and is marked iff that
+    cover reports a newly covered position, so deeper path nodes (visited
+    first) shadow shallower ones exactly as maximality requires.  Each
+    string's covers are rolled back before the next string starts.
     """
     if t.kind not in ("act", "ehog"):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
@@ -261,9 +252,8 @@ def mark_hog_parkcpr(
         v = sl[x]
         while v:
             queries += 1
-            if tree.uncovered(start[v], end[v]):
+            if tree.cover(start[v], end[v]):
                 marks[v] = 1
-                tree.cover(start[v], end[v])
             v = sl[v]
         tree.rollback(cp)
         if deadline is not None and time.monotonic() > deadline:
@@ -281,7 +271,9 @@ def mark_hog_khan(
     """Euler-tour marking with per-string-id stacks of live list nodes.
 
     Entering a node pushes it on the stack of every id in its suffix list
-    (deactivating that id's previous top); leaving reverses this.  A node is
+    (deactivating that id's previous top); leaving pops it and reactivates
+    the previous tops.  A node that is left never returns to the root path,
+    so its own count is not read again and is not reset.  A node is
     "active" while it is some id's stack top, i.e. the deepest node on the
     current root path whose path string is a proper suffix of that id's
     string.  At each whole-string node, a scan over its strict ancestors
@@ -311,7 +303,6 @@ def mark_hog_khan(
             for i in reversed(lists[w]):
                 st = tops[i]
                 st.pop()
-                active[w] -= 1
                 if st:
                     active[st[-1]] += 1
         for i in lists[u]:

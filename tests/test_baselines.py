@@ -18,20 +18,15 @@ from hog.baselines import (
     ov_length,
 )
 from hog.datasets import normalize
-from hog.ehog import mark_ehog
+from hog.ehog import build_ehog
 from hog.marking import MarkTimeout
-from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
+from hog.trie import KIND_HOG, build_act, contract
 
 string_sets = st.lists(
     st.text(alphabet="ab", min_size=1, max_size=10).map(str.encode),
     min_size=1,
     max_size=10,
 )
-
-
-def ehog_of(raw):
-    act = build_act(normalize(raw))
-    return contract(act, mark_ehog(act), KIND_EHOG)
 
 
 # -- brute force --------------------------------------------------------------
@@ -70,7 +65,7 @@ def test_algorithm_registry():
 # -- suffix lists --------------------------------------------------------------
 
 def test_suffix_lists_fig1():
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     lists = build_suffix_lists(e)
     by_string = {
         e.node_string(v): ids for v, ids in enumerate(lists) if ids
@@ -83,7 +78,7 @@ def test_suffix_lists_fig1():
 
 
 def test_suffix_lists_reject_hog():
-    e = ehog_of([b"ab"])
+    e = build_ehog(normalize([b"ab"])).trie
     h = contract(e, mark_hog_oracle(e), KIND_HOG)
     with pytest.raises(ValueError):
         build_suffix_lists(h)
@@ -93,33 +88,43 @@ def test_suffix_lists_reject_hog():
 
 # -- the interval cover tree ----------------------------------------------------
 
+def uncovered(tree, lo, hi):
+    """How many positions of ``[lo, hi]`` are uncovered, leaving ``tree`` as
+    it was: cover the range, read the count, roll the cover back."""
+    mark = tree.checkpoint()
+    got = tree.cover(lo, hi)
+    tree.rollback(mark)
+    return got
+
+
 def test_cover_tree_counts_and_rollback():
     tree = IntervalCoverTree(10)
-    assert tree.uncovered(1, 10) == 10
+    assert uncovered(tree, 1, 10) == 10
     baseline = bytes(tree.uncov)
     mark = tree.checkpoint()
-    tree.cover(3, 7)
-    assert tree.uncovered(1, 10) == 5
-    assert tree.uncovered(3, 7) == 0
-    assert tree.uncovered(1, 3) == 2
-    tree.cover(1, 3)  # overlapping cover
-    assert tree.uncovered(1, 10) == 3
+    assert tree.cover(3, 7) == 5
+    assert uncovered(tree, 1, 10) == 5
+    assert uncovered(tree, 3, 7) == 0
+    assert uncovered(tree, 1, 3) == 2
+    assert tree.cover(1, 3) == 2  # overlapping cover
+    assert uncovered(tree, 1, 10) == 3
+    assert tree.cover(2, 5) == 0  # nothing left to cover
     tree.rollback(mark)
-    assert tree.uncovered(1, 10) == 10
+    assert uncovered(tree, 1, 10) == 10
     assert bytes(tree.uncov) == baseline
 
 
 def test_cover_tree_nested_checkpoints():
     tree = IntervalCoverTree(6)
     outer = tree.checkpoint()
-    tree.cover(1, 2)
+    assert tree.cover(1, 2) == 2
     inner = tree.checkpoint()
-    tree.cover(4, 6)
-    assert tree.uncovered(1, 6) == 1
+    assert tree.cover(4, 6) == 3
+    assert uncovered(tree, 1, 6) == 1
     tree.rollback(inner)
-    assert tree.uncovered(1, 6) == 4
+    assert uncovered(tree, 1, 6) == 4
     tree.rollback(outer)
-    assert tree.uncovered(1, 6) == 6
+    assert uncovered(tree, 1, 6) == 6
 
 
 def test_cover_tree_randomized_against_set_model():
@@ -132,14 +137,15 @@ def test_cover_tree_randomized_against_set_model():
         for _ in range(rng.randint(1, 8)):
             lo = rng.randint(1, k)
             hi = rng.randint(lo, k)
-            tree.cover(lo, hi)
-            covered.update(range(lo, hi + 1))
+            fresh = set(range(lo, hi + 1)) - covered
+            assert tree.cover(lo, hi) == len(fresh)
+            covered |= fresh
             qlo = rng.randint(1, k)
             qhi = rng.randint(qlo, k)
             want = sum(1 for p in range(qlo, qhi + 1) if p not in covered)
-            assert tree.uncovered(qlo, qhi) == want
+            assert uncovered(tree, qlo, qhi) == want
         tree.rollback(mark)
-        assert tree.uncovered(1, k) == k
+        assert uncovered(tree, 1, k) == k
 
 
 def test_cover_tree_validates_size():
@@ -152,7 +158,7 @@ def test_cover_tree_validates_size():
 @given(string_sets)
 @settings(max_examples=200, deadline=None)
 def test_all_markers_agree_with_oracle(raw):
-    e = ehog_of(raw)
+    e = build_ehog(normalize(raw)).trie
     want = bytes(mark_hog_oracle(e))
     assert bytes(mark_hog_cazaux(e)) == want
     assert bytes(mark_hog_parkcpr(e)) == want
@@ -161,7 +167,7 @@ def test_all_markers_agree_with_oracle(raw):
 
 def test_parkcpr_reset_invariant(monkeypatch):
     # every string's covers must be rolled back before the next string
-    e = ehog_of([b"abab", b"bab", b"ba", b"abba"])
+    e = build_ehog(normalize([b"abab", b"bab", b"ba", b"abba"])).trie
     clean = bytes(IntervalCoverTree(e.k).uncov)
     rollback = IntervalCoverTree.rollback
     resets = []
@@ -178,7 +184,7 @@ def test_parkcpr_reset_invariant(monkeypatch):
 def test_baseline_deadlines_abort():
     # each baseline checks the deadline once per string, whole-string node or
     # node, so even the three-string fig. 1 graph reaches a check
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     for marker in (mark_hog_khan, mark_hog_parkcpr, mark_hog_cazaux, mark_hog_oracle):
         with pytest.raises(MarkTimeout):
             marker(e, deadline=0.0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
-from hog.ehog import mark_ehog
+from hog.ehog import build_ehog, mark_ehog
 from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
 from hog.verify import FAMILIES
@@ -18,11 +18,6 @@ string_sets = st.lists(
 )
 
 
-def ehog_of(raw):
-    act = build_act(normalize(raw))
-    return contract(act, mark_ehog(act), KIND_EHOG)
-
-
 def marked_strings(t, marks):
     return {t.node_string(v) for v in range(t.n_nodes) if marks[v]}
 
@@ -30,7 +25,7 @@ def marked_strings(t, marks):
 # -- marked sets on pinned instances -------------------------------------------
 
 def test_fig1_marked_set():
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     marks = mark_hog_new(e)
     assert marked_strings(e, marks) == {
         b"", b"aa", b"dbd", b"aabaa", b"aadbd", b"dbdaa"
@@ -39,28 +34,28 @@ def test_fig1_marked_set():
 
 def test_self_border_of_a_single_string():
     # ov(aa, aa) = "a": the unary chain through "a" must still be markable
-    e = ehog_of([b"aa"])
+    e = build_ehog(normalize([b"aa"])).trie
     assert marked_strings(e, mark_hog_new(e)) == {b"", b"a", b"aa"}
-    e = ehog_of([b"aaa"])
+    e = build_ehog(normalize([b"aaa"])).trie
     assert marked_strings(e, mark_hog_new(e)) == {b"", b"aa", b"aaa"}
 
 
 def test_every_node_marked_when_everything_overlaps():
-    e = ehog_of([b"ab", b"ba"])
+    e = build_ehog(normalize([b"ab", b"ba"])).trie
     marks = mark_hog_new(e)
     assert marked_strings(e, marks) == {b"", b"a", b"b", b"ab", b"ba"}
     assert sum(marks) == e.n_nodes
 
 
 def test_no_overlaps_marks_only_root_and_strings():
-    e = ehog_of([b"ab", b"cd"])
+    e = build_ehog(normalize([b"ab", b"cd"])).trie
     assert marked_strings(e, mark_hog_new(e)) == {b"", b"ab", b"cd"}
 
 
 # -- precomputed shortcut structure -------------------------------------------
 
 def test_fav_structure_on_fig1():
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     fav = precompute_fav(e)
     by = {e.node_string(v): v for v in range(e.n_nodes)}
 
@@ -117,7 +112,7 @@ def test_fav_structure_matches_naive_on_families(family):
 
 
 def test_fav_structure_matches_naive_on_a_reads_shaped_set():
-    assert_fav_matches_naive(ehog_of(reads_shaped_set()))
+    assert_fav_matches_naive(build_ehog(normalize(reads_shaped_set())).trie)
 
 
 def test_fav_base_count_of_a_whole_string_with_256_children():
@@ -130,14 +125,14 @@ def test_fav_base_count_of_a_whole_string_with_256_children():
 
 
 def test_terminal_string_node_counts_itself():
-    e = ehog_of([b"ab", b"abc"])
+    e = build_ehog(normalize([b"ab", b"abc"])).trie
     fav = precompute_fav(e)
     v = [e.node_string(u) for u in range(e.n_nodes)].index(b"ab")
     assert fav.base_count[v] == 2  # one child subtree + itself as a target
 
 
 def test_precompute_rejects_contracted_result_kind():
-    e = ehog_of([b"ab"])
+    e = build_ehog(normalize([b"ab"])).trie
     h = contract(e, mark_hog_oracle(e), KIND_HOG)
     with pytest.raises(ValueError):
         precompute_fav(h)
@@ -148,7 +143,7 @@ def test_precompute_rejects_contracted_result_kind():
 # -- counters -------------------------------------------------------------------
 
 def test_counters_single_string_trivial_path():
-    e = ehog_of([b"a"])
+    e = build_ehog(normalize([b"a"])).trie
     c = {}
     mark_hog_new(e, counters=c)
     assert c["suffix_hops"] == 0
@@ -157,7 +152,7 @@ def test_counters_single_string_trivial_path():
 
 
 def test_counters_fig1():
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     c = {}
     mark_hog_new(e, counters=c)
     # suffix paths: aabaa -> aa -> a; aadbd -> dbd -> d; dbdaa -> aa -> a
@@ -170,8 +165,7 @@ def test_counters_fig1():
 @settings(max_examples=200, deadline=None)
 def test_journal_bound_and_restore(raw):
     ss = normalize(raw)
-    act = build_act(ss)
-    e = contract(act, mark_ehog(act), KIND_EHOG)
+    e = build_ehog(ss).trie
     fav = precompute_fav(e)
     before = [fav.base_count[:], fav.fav_desc[:], fav.fav_panc[:]]
     c = {}
@@ -235,7 +229,7 @@ def test_unary_walks_are_linear_in_k():
 
 
 def test_fav_structure_is_reusable_across_runs():
-    e = ehog_of([b"abab", b"bab", b"ba"])
+    e = build_ehog(normalize([b"abab", b"bab", b"ba"])).trie
     fav = precompute_fav(e)
     first = mark_hog_new(e, fav=fav)
     second = mark_hog_new(e, fav=fav)
@@ -244,6 +238,6 @@ def test_fav_structure_is_reusable_across_runs():
 
 def test_deadline_aborts():
     # mark_hog_new checks the deadline after each string
-    e = ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     with pytest.raises(MarkTimeout):
         mark_hog_new(e, deadline=0.0)

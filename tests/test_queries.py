@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
-from hog.ehog import mark_ehog
+from hog.ehog import build_ehog
 from hog.marking import mark_hog_new
 from hog.queries import QueryEngine, parse_batch, run_batch
-from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
+from hog.trie import KIND_HOG, build_act, contract
 from hog.verify import FAMILIES, check_queries
 
 string_sets = st.lists(
@@ -19,8 +19,7 @@ string_sets = st.lists(
 
 
 def structures_of(raw):
-    act = build_act(normalize(raw))
-    e = contract(act, mark_ehog(act), KIND_EHOG)
+    e = build_ehog(normalize(raw)).trie
     h = contract(e, mark_hog_oracle(e), KIND_HOG)
     return e, h
 
@@ -82,8 +81,7 @@ def test_whole_string_suffix_is_not_its_own_overlap():
 
 def test_duplicated_inputs_share_canonical_answers():
     ss = normalize([b"ab", b"ab", b"ba"])
-    act = build_act(ss)
-    e = contract(act, mark_ehog(act), KIND_EHOG)
+    e = build_ehog(ss).trie
     h = contract(e, mark_hog_oracle(e), KIND_HOG)
     eng = QueryEngine(h)
     assert ss.orig_count == 3
@@ -147,8 +145,7 @@ def test_unary_closed_form_at_scale():
     # a^1..a^K: ov(i, j) = min(i, j) - 1, and every path node's range
     # contains all the ranges answered before it
     K = 2000
-    act = build_act(normalize([b"a" * i for i in range(1, K + 1)]))
-    e = contract(act, mark_ehog(act), KIND_EHOG)
+    e = build_ehog(normalize([b"a" * i for i in range(1, K + 1)])).trie
     eng = QueryEngine(contract(e, mark_hog_new(e), KIND_HOG))
     for i in (1, 2, 3, 999, K - 1, K):
         assert eng.one_to_all(i) == [min(i, j) - 1 for j in range(1, K + 1)]

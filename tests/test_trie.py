@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hog.baselines import mark_hog_oracle
 from hog.bench import measure_peak_memory
 from hog.datasets import StringSet, generate_random, normalize
-from hog.ehog import mark_ehog
+from hog.ehog import build_ehog, mark_ehog
 from hog.marking import mark_hog_new
 import hog.trie
 import hog.verify
@@ -53,11 +53,6 @@ small_sets = st.lists(
 
 def node_strings(t):
     return {t.node_string(v) for v in range(t.n_nodes)}
-
-
-def build_ehog_of(raw):
-    act = build_act(normalize(raw))
-    return contract(act, mark_ehog(act), KIND_EHOG)
 
 
 # -- full trie ----------------------------------------------------------------
@@ -636,7 +631,7 @@ def test_contract_of_all_marked_is_an_independent_copy():
 
 
 def test_contract_keeps_only_marked_nodes():
-    e = build_ehog_of([b"aabaa", b"aadbd", b"dbdaa"])
+    e = build_ehog(normalize([b"aabaa", b"aadbd", b"dbdaa"])).trie
     assert e.n_nodes == 8
     assert node_strings(e) == {
         b"", b"a", b"aa", b"d", b"dbd", b"aabaa", b"aadbd", b"dbdaa"
@@ -649,7 +644,7 @@ def test_contract_keeps_only_marked_nodes():
 
 
 def test_contract_requires_root_and_whole_strings_marked():
-    e = build_ehog_of([b"ab"])
+    e = build_ehog(normalize([b"ab"])).trie
     marks = bytearray(e.n_nodes)
     marks[0] = 1  # whole-string node left unmarked
     with pytest.raises(ValueError):
@@ -659,7 +654,7 @@ def test_contract_requires_root_and_whole_strings_marked():
 def test_contracted_siblings_may_share_first_byte():
     # suffixes of neither string survive, so the root's children are the
     # two whole strings and both labels start with 'a'
-    e = build_ehog_of([b"ab", b"ac"])
+    e = build_ehog(normalize([b"ab", b"ac"])).trie
     assert node_strings(e) == {b"", b"ab", b"ac"}
     labels = sorted(e.edge_label(c) for c in range(e.n_nodes) if e.parent[c] == 0)
     assert labels == [b"ab", b"ac"]
@@ -786,7 +781,7 @@ def reads_shaped_set():
 
 def test_contract_routes_agree_on_a_reads_shaped_set():
     # its minimal step drops a handful of nodes
-    e = build_ehog_of(reads_shaped_set())
+    e = build_ehog(normalize(reads_shaped_set())).trie
     assert 15_000 <= e.n_nodes <= 17_000
     hm = mark_hog_new(e)
     assert 0 < hm.count(0) < e.n_nodes // 100
@@ -830,7 +825,7 @@ def test_contract_ways_agree_across_gather_chunks():
 
 def test_contract_is_linear_when_a_wide_node_gains_many_children():
     # full-bytes: dropping the depth-1 nodes hands their children to the root
-    e = build_ehog_of(FAMILIES["full-bytes"])
+    e = build_ehog(normalize(FAMILIES["full-bytes"])).trie
     marks = bytearray(d != 1 or j != -1 for d, j in zip(e.depth, e.string_of))
     dropped = marks.count(0)
     assert dropped >= 250
@@ -856,7 +851,7 @@ def test_contract_is_linear_when_a_wide_node_gains_many_children():
 
 
 def test_contract_route_follows_the_drop_count(monkeypatch):
-    e = build_ehog_of(FAMILIES["full-bytes"])
+    e = build_ehog(normalize(FAMILIES["full-bytes"])).trie
     routes = []
     monkeypatch.setattr(
         hog.trie, "contract_unchecked",
@@ -881,7 +876,7 @@ def test_contract_route_follows_the_drop_count(monkeypatch):
 def test_contract_rejects_marks_other_than_0_and_1(share):
     # no drop (the copy), a few drops (by runs) and most dropped (one by
     # one): each way would read a 2 its own way, so contract rejects it
-    e = build_ehog_of(FAMILIES["full-bytes"])
+    e = build_ehog(normalize(FAMILIES["full-bytes"])).trie
     marks = sparse_marks(e, 6, share)
     drops = marks.count(0)
     assert (drops == 0) == (share == 0.0)
@@ -968,7 +963,7 @@ def test_audit_catches_a_node_named_twice():
 # -- serialization ------------------------------------------------------------
 
 def test_to_text_golden():
-    e = build_ehog_of([b"ab", b"b"])
+    e = build_ehog(normalize([b"ab", b"b"])).trie
     h = contract(e, mark_hog_oracle(e), KIND_HOG)
     assert to_text(h) == (
         "# kind=hog nodes=3 k=2 n=3\n"
@@ -980,6 +975,6 @@ def test_to_text_golden():
 
 
 def test_to_text_is_deterministic():
-    a = build_ehog_of([b"abab", b"bab", b"ba"])
-    b = build_ehog_of([b"abab", b"bab", b"ba"])
+    a = build_ehog(normalize([b"abab", b"bab", b"ba"])).trie
+    b = build_ehog(normalize([b"abab", b"bab", b"ba"])).trie
     assert to_text(a) == to_text(b)
