@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Callable, Sequence
 
 from .marking import MarkTimeout, mark_hog_new
-from .trie import MarkVector, OverlapTrie
+from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie
 
 
 def ov_length(p: bytes, q: bytes) -> int:
@@ -93,7 +93,7 @@ def build_suffix_lists(t: OverlapTrie) -> list[list[int]]:
     root's list is empty.  Built by walking each string's suffix-link path,
     recording the string id at every node strictly between the string's own
     node and the root."""
-    if t.kind not in ("act", "ehog"):
+    if t.kind not in (KIND_ACT, KIND_EHOG):
         raise ValueError(f"suffix lists are built on act/ehog structures, got {t.kind!r}")
     lists: list[list[int]] = [[] for _ in range(t.n_nodes)]
     sl = t.suffix_link
@@ -163,7 +163,7 @@ class IntervalCoverTree:
     checkpoint, so nesting follows stack discipline.
     """
 
-    __slots__ = ("k", "size", "uncov", "journal")
+    __slots__ = ("size", "uncov", "journal")
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -171,12 +171,9 @@ class IntervalCoverTree:
         size = 1
         while size < k:
             size <<= 1
-        self.k = k
         self.size = size
-        self.uncov = array("i", bytes(4 * 2 * size))
-        uncov = self.uncov
-        for pos in range(k):
-            uncov[size + pos] = 1
+        self.uncov = uncov = array("i", bytes(4 * 2 * size))
+        uncov[size : size + k] = array("i", [1]) * k
         for node in range(size - 1, 0, -1):
             uncov[node] = uncov[2 * node] + uncov[2 * node + 1]
         self.journal: list[tuple[int, int]] = []
@@ -233,7 +230,7 @@ def mark_hog_parkcpr(
     first) shadow shallower ones exactly as maximality requires.  Each
     string's covers are rolled back before the next string starts.
     """
-    if t.kind not in ("act", "ehog"):
+    if t.kind not in (KIND_ACT, KIND_EHOG):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     n = t.n_nodes
     k = t.k

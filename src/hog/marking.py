@@ -26,15 +26,16 @@ between strings, so the whole pass over all strings does O(total length)
 work on an ``act`` (and O(structure size + total suffix-path length) on an
 ``ehog``).
 
-A walk also stops early.  ``done[v]`` is set only when ``v`` and every node
-on ``v``'s suffix path are already marked; marks only grow, so a walk that
-reaches a done node can mark nothing more.  After each walk, ``done`` is set
-from the suffix link of the walk's shallowest node that was unmarked on
-arrival (the string's own node if there is none) up to the first done node:
-every node after it was marked on arrival, so each flag lands on a node
-that a walk has reached twice.  On unary and periodic inputs this cuts the
-walked hops from Θ(n) to Θ(k).  The ``suffix_hops`` and ``count_updates``
-counters count the walked hops only, not whole suffix paths.
+A walk also stops early.  Each node has one state byte: unmarked, marked,
+or done.  A node is done only when it and every node on its suffix path are
+marked; marks only grow, so a walk that reaches a done node can mark nothing
+more.  After each walk, the done state is written from the suffix link of
+the walk's shallowest node that was unmarked on arrival (the string's own
+node if there is none) up to the first done node: every node after it was
+marked on arrival, so each done node is one that a walk has reached twice.
+On unary and periodic inputs this cuts the walked hops from Θ(n) to Θ(k).
+The ``suffix_hops`` and ``count_updates`` counters count the walked hops
+only, not whole suffix paths.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .trie import MarkVector, OverlapTrie
+from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie
 
 
 class MarkTimeout(RuntimeError):
@@ -75,7 +76,7 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
     ``v + 1``, so that is ``parent[v + 1] != v``.  A count is at most the
     alphabet size plus one, 257, so the counts are ``array('H')``.
     """
-    if t.kind not in ("act", "ehog"):
+    if t.kind not in (KIND_ACT, KIND_EHOG):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     n = t.n_nodes
     parent = t.parent
@@ -120,22 +121,20 @@ def mark_hog_new(
     """Mark overlap nodes on ``t`` by lazy subtree blackening.
 
     Returns a mark vector whose set bits are the root, all whole-string
-    nodes, and all pairwise-overlap nodes.  Each string's walk stops at the
-    first node whose whole suffix path is already marked (see the module
-    docstring).  ``counters`` (when given) is filled with ``suffix_hops``
-    (suffix-path nodes walked across all strings), ``count_updates``
-    (counter writes on those walks, journal restores included) and
-    ``vm_lengths`` (per-string journal lengths, for bound checks).
+    nodes, and all pairwise-overlap nodes: bit 0 of each node's state byte.
+    Each string's walk stops at the first done node, whose whole suffix
+    path is already marked (see the module docstring).  ``counters`` (when
+    given) is filled with ``suffix_hops`` (suffix-path nodes walked across
+    all strings), ``count_updates`` (counter writes on those walks, journal
+    restores included) and ``vm_lengths`` (per-string journal lengths, for
+    bound checks).
     """
-    if t.kind not in ("act", "ehog"):
+    if t.kind not in (KIND_ACT, KIND_EHOG):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     if fav is None:
         fav = precompute_fav(t)
-    n = t.n_nodes
-    marks = bytearray(n)
-    marks[0] = 1
-    done = bytearray(n)
-    done[0] = 1
+    state = bytearray(t.n_nodes)  # bit 0: marked; bit 1: done, so done is 3
+    state[0] = 3
     sl = t.suffix_link
     leaf_of = t.leaf_of
     base = fav.base_count
@@ -149,16 +148,17 @@ def mark_hog_new(
 
     for j in range(1, t.k + 1):
         x = leaf_of[j]
-        marks[x] = 1
+        if not state[x]:  # a marked or done node keeps its state
+            state[x] = 1
         last = x
         v = sl[x]
-        while not done[v]:
+        while (s := state[v]) != 3:
             hops += 1
-            if not marks[v]:
+            if not s:
                 last = v
             fd = fdesc[v]
             if count[fd]:
-                marks[v] = 1
+                state[v] = 1
                 vm.append(fd)
                 count[fd] = 0
                 u = fpanc[fd]
@@ -171,8 +171,8 @@ def mark_hog_new(
                     u = fpanc[u]
             v = sl[v]
         v = sl[last]
-        while not done[v]:
-            done[v] = 1
+        while state[v] != 3:
+            state[v] = 3
             v = sl[v]
         updates += 2 * len(vm)  # every journaled write is paired with a restore
         if vm_lengths is not None:
@@ -187,4 +187,4 @@ def mark_hog_new(
         counters["suffix_hops"] = hops
         counters["count_updates"] = updates
         counters["vm_lengths"] = vm_lengths
-    return marks
+    return state.translate(bytes(range(2)) * 128)  # each state's bit 0

@@ -228,6 +228,17 @@ def test_unary_walks_are_linear_in_k():
         assert c["suffix_hops"] <= 2 * k
 
 
+def test_a_string_node_stays_done_when_its_own_walk_marks_it():
+    # b is done (ab's walk flags it) before its own walk starts, so cb's walk
+    # stops at b at once; had b's own walk cleared the flag, it would hop b
+    act = build_act(normalize([b"aab", b"ab", b"b", b"cb"]))
+    ext = contract(act, mark_ehog(act), KIND_EHOG)
+    for t, updates, vm_lengths in ((act, 8, [3, 1, 0, 0]), (ext, 6, [2, 1, 0, 0])):
+        c = {}
+        assert bytes(mark_hog_new(t, counters=c)) == bytes(mark_hog_oracle(t))
+        assert c == {"suffix_hops": 3, "count_updates": updates, "vm_lengths": vm_lengths}
+
+
 def test_fav_structure_is_reusable_across_runs():
     e = build_ehog(normalize([b"abab", b"bab", b"ba"])).trie
     fav = precompute_fav(e)
