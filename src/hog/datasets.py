@@ -16,9 +16,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import chain, compress, count, pairwise, starmap
-from operator import ne
+from itertools import chain, count, pairwise, starmap
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -217,18 +215,12 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
     stream (see its docstring for the exact derivation, and for why its
     128-bit lanes give exactly the word-by-word stream), so results are
     reproducible bit-for-bit across platforms.  The strings are cut in order
-    from the stream's first ``n`` bytes.  A string equal to an earlier one is
-    redrawn from the continuing stream until it differs from every earlier
-    string; if ``k`` distinct strings cannot be produced (tiny alphabet,
-    short lengths) a ``ValueError`` is raised rather than returning fewer.
-
-    Only the positions that need a redraw are visited, in ascending order
-    from a heap: first the repeats, found with a dict of each string's first
-    position, then any later string whose first occurrence a redraw
-    produced.  A position is redrawn only after every earlier one is
-    settled, and a redraw is kept under the same rule, so the stream is read
-    in the same order, and gives the same strings and error, as one pass
-    that checks each string in turn.
+    from the stream's first ``n`` bytes.  They are then checked in position
+    order against the strings kept before them: a string equal to one of
+    those is redrawn from the continuing stream, at most ``_MAX_REDRAWS``
+    times, until it differs from every one, and is kept.  If ``k`` distinct
+    strings cannot be produced (tiny alphabet, short lengths) a
+    ``ValueError`` is raised rather than returning fewer.
     """
     if k <= 0 or n <= 0:
         raise ValueError("k and n must be positive")
@@ -240,9 +232,12 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
 
 
 def _random_strings(k: int, n: int, alphabet: bytes, seed: int) -> list[bytes]:
-    """:func:`generate_random`'s strings in input order, for ``normalize``;
-    the block, the first-position dict and the redraws' set are freed on
-    return."""
+    """:func:`generate_random`'s strings in input order, for ``normalize``.
+
+    The block is freed once the strings are cut.  A set without repeats is
+    returned as cut; otherwise one pass in position order redraws each
+    repeat, and the set of kept strings is freed on return.
+    """
     table = bytes(alphabet[b % len(alphabet)] for b in range(256))
     base, extra = divmod(n, k)
     cut = extra * (base + 1)
@@ -251,29 +246,20 @@ def _random_strings(k: int, n: int, alphabet: bytes, seed: int) -> list[bytes]:
     bounds = chain(range(0, cut, base + 1), range(cut, n + 1, base))
     raw = list(map(block.__getitem__, starmap(slice, pairwise(bounds))))
     del block
-    first = dict(zip(reversed(raw), range(k - 1, -1, -1)))
-    if len(first) == k:
+    if len(set(raw)) == k:
         return raw
-    pending = list(compress(range(k), map(ne, map(first.__getitem__, raw), count())))
-    drawn: set[bytes] = set()
-    while pending:
-        pos = heappop(pending)
-        length = base + (pos < extra)
-        # the strings kept before ``pos`` are the redraws and every raw
-        # string first seen at or before ``pos`` (one first seen at a
-        # redrawn position equals an earlier string)
-        for _ in range(_MAX_REDRAWS):
-            s = bytes(rng.byte_block(length)).translate(table)
-            later = first.get(s, k)
-            if later > pos and s not in drawn:
-                break
-        else:
-            raise ValueError(
-                f"cannot generate {k} distinct strings of length ~{base} "
-                f"over a {len(alphabet)}-letter alphabet"
-            )
-        raw[pos] = s
-        drawn.add(s)
-        if later < k:
-            heappush(pending, later)
+    kept: set[bytes] = set()
+    for pos, s in enumerate(raw):
+        if s in kept:
+            for _ in range(_MAX_REDRAWS):
+                s = bytes(rng.byte_block(len(s))).translate(table)
+                if s not in kept:
+                    break
+            else:
+                raise ValueError(
+                    f"cannot generate {k} distinct strings of length ~{base} "
+                    f"over a {len(alphabet)}-letter alphabet"
+                )
+            raw[pos] = s
+        kept.add(s)
     return raw

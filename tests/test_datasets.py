@@ -264,6 +264,10 @@ def test_generate_random_matches_the_sequential_reference(k, scale, alphabet, se
         (3, 3, b"a", 0),  # fails after _MAX_REDRAWS redraws
         (40, 2000, b"ab", 3),
         (20_000, 200_000, b"ACGT", 1),  # 192 redraws
+        # 19,109 and 4,790 positions redrawn, 4,882 and 149 of them because
+        # their cut string equals what an earlier redraw produced
+        (50_000, 400_000, b"ACGT", 5),
+        (100_000, 1_000_000, b"ACGT", 42),
     ],
 )
 def test_generate_random_matches_the_reference_on_fixed_sets(args):
@@ -271,10 +275,10 @@ def test_generate_random_matches_the_reference_on_fixed_sets(args):
 
 
 def test_generate_random_traced_peak():
-    # cutting the strings from one block and freeing the block and the
-    # first-position dict before normalize: 3,655,224 bytes on Python 3.11.7;
+    # cutting the strings from one block and freeing the block and the set
+    # of kept strings before normalize: 3,655,638 bytes on Python 3.11.7;
     # the sequential generator peaked at 6,112,911.  Keeping the translated
-    # block alive through normalize adds about 200 KB, the dict about 1.2 MB.
+    # block alive through normalize adds about 200 KB, the set about 2.1 MB.
     generate_random(20_000, 200_000, b"ACGT", 1)
     ss, peak = measure_peak_memory(lambda: generate_random(20_000, 200_000, b"ACGT", 1))
     assert ss.k == 20_000
