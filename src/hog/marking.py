@@ -11,7 +11,9 @@ walk the suffix-link path from ``p``'s node toward the root.  A path node
 subtree interval that were not already claimed by a deeper path node.  So the
 walk marks ``v`` exactly when ``v``'s subtree still contains an unclaimed
 ("white") target, then blackens the whole subtree — and both operations are
-O(1) amortized thanks to two precomputed shortcuts:
+O(1) amortized thanks to two precomputed shortcuts, each filled by one slice
+write per run of unfavoured ids (``v`` is unfavoured exactly when ``v + 1``
+has its leaf interval):
 
 - ``fav_desc[v]``: the top of every maximal unary non-string chain is
   redirected to the chain's bottom ("favoured") node, so a subtree's
@@ -20,11 +22,11 @@ O(1) amortized thanks to two precomputed shortcuts:
   parent-unit removals only along favoured nodes.
 
 ``count[f]`` for a favoured node ``f`` is the number of ``f``'s units (one
-per child subtree, plus one for ``f`` itself when it is a whole string) that
-still contain white targets.  A journal of touched counters restores state
-between strings, so the whole pass over all strings does O(total length)
-work on an ``act`` (and O(structure size + total suffix-path length) on an
-``ehog``).
+per child subtree, counted one by one, plus one for ``f`` itself when it is
+a whole string) that still contain white targets.  A journal of touched
+counters restores state between strings, so the whole pass over all strings
+does O(total length) work on an ``act`` (and O(structure size + total
+suffix-path length) on an ``ehog``).
 
 A walk also stops early.  Each node has one state byte: unmarked, marked,
 or done.  A node is done only when it and every node on its suffix path are
@@ -40,12 +42,14 @@ only, not whole suffix paths.
 
 from __future__ import annotations
 
+import re
+import sys
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import compress, islice
 
-from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie
+from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie, _iota
 
 
 class MarkTimeout(RuntimeError):
@@ -62,54 +66,60 @@ class FavStructure:
     fav_panc: array
 
 
-def precompute_fav(t: OverlapTrie) -> FavStructure:
-    """Build :class:`FavStructure` for ``t`` in three linear sweeps.
+_FLAG_CHUNK = 1024  # nodes per big-int comparison, so no temporary grows with n
+_ONE_AT_ZERO = b"\x01" + bytes(255)  # translates the flags to the unfavoured nodes' counts
+_UNFAVOURED_RUNS = re.compile(b"\x00+")
 
-    A node is *favoured* when it has ≥ 2 children or is a whole string
-    (leaves are whole strings, so every chain bottoms out at a favoured
-    node).  ``base_count[v]`` = number of children, plus 1 if ``v`` is a
-    whole string — the extra unit stands for ``v`` itself as an overlap
-    target, and is what lets a string node report "still white" even when
-    all its child subtrees are blackened.  So ``v`` is favoured exactly when
-    ``base_count[v] != 1`` or it has no child (a childless count of 1 is the
-    string itself); in pre-order ``v``'s only possible first child is
-    ``v + 1``, so that is ``parent[v + 1] != v``.  A count is at most the
-    alphabet size plus one, 257, so the counts are ``array('H')``.
+
+def _unfavoured_flags(start: array, end: array) -> bytearray:
+    """Per node, 0 exactly when the next node has its leaf interval: each column
+    of 4-byte ids as a big int, XORed with itself shifted one id, bytes ORed."""
+    n = len(start)
+    flags = bytearray()
+    for a in range(0, n - 1, _FLAG_CHUNK):
+        m = min(_FLAG_CHUNK, n - 1 - a)
+        x, y = (int.from_bytes(c[a : a + m + 1].tobytes(), "little") for c in (start, end))
+        d = (x ^ x >> 32) | (y ^ y >> 32)
+        flags += (d | d >> 8 | d >> 16 | d >> 24).to_bytes(4 * m + 4, "little")[: 4 * m : 4]
+    flags.append(1)  # the last node is a leaf
+    return flags
+
+
+def precompute_fav(t: OverlapTrie) -> FavStructure:
+    """Build :class:`FavStructure` for ``t``, one Python step per run of
+    unfavoured nodes, per child of a favoured node and per string.
+
+    A node is *favoured* when it has ≥ 2 children or is a whole string.  As
+    ``v + 1`` is ``v``'s only possible first child, ``v`` is unfavoured
+    exactly when ``v + 1`` has its leaf interval.  In a maximal unfavoured
+    run ``[a, b)``, ``fav_desc`` is ``b`` and ``fav_panc[a + 1 : b + 1]`` is
+    ``fav_panc[a]``, the parent of ``a`` (or the root); elsewhere, the node
+    and its parent.  ``base_count`` (children, plus 1 at a whole string; at
+    most 257) is 1 at an unfavoured node; favoured nodes' children, the ids
+    ``f + 1`` of favoured ``f``, are counted one by one.
     """
     if t.kind not in (KIND_ACT, KIND_EHOG):
         raise ValueError(f"marking runs on act/ehog structures, got {t.kind!r}")
     n = t.n_nodes
-    parent = t.parent
+    flags = _unfavoured_flags(t.start, t.end)
     base = array("H", [0]) * n
-    for p in islice(parent, 1, None):
+    memoryview(base).cast("B")[sys.byteorder == "big" :: 2] = flags.translate(_ONE_AT_ZERO)
+    for p in compress(islice(t.parent, 1, None), flags):
         base[p] += 1
     for v in islice(t.leaf_of, 1, None):
         base[v] += 1
-
-    fav_desc = array("i", [0]) * n
-    f = n
-    for v, b, p in zip(range(n - 1, -1, -1), reversed(base), chain((-1,), reversed(parent))):
-        # p is parent[v + 1] (-1 past the last node): with a count of 1, v is
-        # either a childless whole string (favoured) or has one child, v + 1
-        if b != 1 or p != v:
-            f = v
-        fav_desc[v] = f
-
-    # u + 1 opens a chain when u is favoured, and its parent is then its
-    # nearest favoured ancestor (or the root); the rest of the chain, down
-    # to its favoured bottom, shares that value
-    fav_panc = array("i", [0]) * n
-    panc = 0
-    for u, p, bottom in zip(range(n), islice(parent, 1, None), fav_desc):
-        if bottom == u:
-            panc = p
-        fav_panc[u + 1] = panc
-
-    return FavStructure(
-        base_count=base,
-        fav_desc=fav_desc,
-        fav_panc=fav_panc,
-    )
+    fav_desc = _iota(n)
+    fav_panc = t.parent[:]
+    fav_panc[0] = 0
+    for run in _UNFAVOURED_RUNS.finditer(flags):
+        a, b = run.span()
+        if b - a == 1:
+            fav_desc[a] = b
+            fav_panc[b] = fav_panc[a]
+        else:
+            fav_desc[a:b] = array("i", [b]) * (b - a)
+            fav_panc[a + 1 : b + 1] = array("i", [fav_panc[a]]) * (b - a)
+    return FavStructure(base, fav_desc, fav_panc)
 
 
 def mark_hog_new(

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hog.baselines import mark_hog_oracle
-from hog.datasets import normalize
+from hog.bench import measure_peak_memory
+from hog.datasets import generate_random, normalize
 from hog.ehog import build_ehog, mark_ehog
 from hog.marking import MarkTimeout, mark_hog_new, precompute_fav
 from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
@@ -75,22 +76,39 @@ def test_fav_structure_on_fig1():
     assert fav.fav_panc[by[b"aa"]] == 0
 
 
-def assert_fav_matches_naive(t):
-    """``precompute_fav`` against the definitions, node by node."""
+def favoured_nodes(t):
+    """Per node, whether it has ≥ 2 children or is a whole string, and the
+    child counts, both from ``parent`` and ``string_of`` alone."""
     n = t.n_nodes
     children = [0] * n
     for v in range(1, n):
         children[t.parent[v]] += 1
     whole = [j != -1 for j in t.string_of]
-    favoured = [children[v] >= 2 or whole[v] for v in range(n)]
+    return [children[v] >= 2 or whole[v] for v in range(n)], children, whole
+
+
+def assert_fav_matches_naive(t):
+    """``precompute_fav`` against the definitions, node by node, in linear
+    time: the next favoured node at or after each id is found by one
+    backward scan, and the nearest favoured proper ancestor (the root when
+    there is none) from the parent's own answer, since parents precede
+    children."""
+    n = t.n_nodes
+    favoured, children, whole = favoured_nodes(t)
     fav = precompute_fav(t)
     assert list(fav.base_count) == [children[v] + whole[v] for v in range(n)]
-    for v in range(n):
-        assert fav.fav_desc[v] == next(u for u in range(v, n) if favoured[u])
-        u = t.parent[v]
-        while u > 0 and not favoured[u]:
-            u = t.parent[u]
-        assert fav.fav_panc[v] == max(u, 0)
+    next_favoured = [0] * n
+    nxt = None
+    for v in range(n - 1, -1, -1):
+        if favoured[v]:
+            nxt = v
+        next_favoured[v] = nxt
+    assert list(fav.fav_desc) == next_favoured
+    # up[u]: u itself when it is the root or favoured, else up[parent[u]]
+    up = [0] * n
+    for u in range(1, n):
+        up[u] = u if favoured[u] else up[t.parent[u]]
+    assert list(fav.fav_panc) == [0] + [up[t.parent[v]] for v in range(1, n)]
 
 
 @given(string_sets | sampled_reads() | full_byte_sets)
@@ -113,6 +131,39 @@ def test_fav_structure_matches_naive_on_families(family):
 
 def test_fav_structure_matches_naive_on_a_reads_shaped_set():
     assert_fav_matches_naive(build_ehog(normalize(reads_shaped_set())).trie)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # 6,000 nodes, so the interval flags cross several 1,024-node chunks
+        lambda: build_ehog(generate_random(3000, 30_000, b"ACGT", 1)).trie,
+        # one chain from the root, unfavoured but for its last node
+        lambda: build_act(generate_random(1, 5000, b"ACGT", 1)),
+        lambda: build_act(normalize([b"ab" * 2000])),
+        # the root has one child, so its chain starts at id 0
+        lambda: build_act(
+            normalize([b"x" + s for s in generate_random(500, 10_000, b"AC", 1).strings])
+        ),
+    ],
+    ids=["ext-3000-strings", "one-random-string", "one-periodic-string", "root-with-one-child"],
+)
+def test_fav_structure_matches_naive_across_flag_chunks(make):
+    t = make()
+    assert t.n_nodes > 4000
+    assert_fav_matches_naive(t)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unfavoured_exactly_where_the_next_node_has_the_same_interval(family):
+    act = build_act(normalize(FAMILIES[family]))
+    for t in (act, contract(act, mark_ehog(act), KIND_EHOG)):
+        favoured = favoured_nodes(t)[0]
+        same = [
+            (t.start[v], t.end[v]) == (t.start[v + 1], t.end[v + 1]) for v in range(t.n_nodes - 1)
+        ]
+        assert same == [not f for f in favoured[:-1]]
+        assert favoured[-1]
 
 
 def test_fav_base_count_of_a_whole_string_with_256_children():
@@ -237,6 +288,16 @@ def test_a_string_node_stays_done_when_its_own_walk_marks_it():
         c = {}
         assert bytes(mark_hog_new(t, counters=c)) == bytes(mark_hog_oracle(t))
         assert c == {"suffix_hops": 3, "count_updates": updates, "vm_lengths": vm_lengths}
+
+
+def test_lazy_marker_traced_peak_per_node():
+    # the interval flags are compared 1,024 nodes at a time; whole columns
+    # read as big ints would roughly double the peak.  Without counters, so
+    # no list of journal lengths (8 bytes per string) counts
+    ext = build_ehog(generate_random(20_000, 200_000, b"ACGT", 1)).trie
+    _, peak = measure_peak_memory(lambda: mark_hog_new(ext))
+    assert ext.n_nodes == 39_598
+    assert peak / ext.n_nodes <= 15
 
 
 def test_fav_structure_is_reusable_across_runs():
