@@ -4,13 +4,14 @@ Timing conventions: structure-build time covers the full pipeline (prefix
 trie, suffix-path marking, contraction); marking time covers one marking
 algorithm on the built structure, including its own preprocessing (suffix
 lists, fav shortcuts, cover tree).  Every algorithm gets one untimed warmup
-run — reused for mark-vector equality checks, counters, and the allocation
-trace — followed by ``reps`` timed runs reported as median and mean.
-Points run serially: parallel timing in one interpreter would contend on
-the GIL and lie.
+run — reused for mark-vector equality checks and the allocation trace — and
+one more untimed, untraced run that fills its work counters, followed by
+``reps`` timed runs reported as median and mean.  Points run serially:
+parallel timing in one interpreter would contend on the GIL and lie.
 
 Peak memory is the traced-allocation peak of the warmup run (portable and
-repeatable).  The CSV schema is frozen as :data:`CSV_HEADER`.
+repeatable), which keeps no counters, so it is the algorithm's own.  The CSV
+schema is frozen as :data:`CSV_HEADER`.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def run_marking(
     reps: int = 3,
     timeout_s: float | None = None,
 ) -> MarkingRun:
-    """Warmup (traced) + ``reps`` timed runs of one marking algorithm."""
+    """Warmup (traced) + ``reps`` timed runs of one marking algorithm.
+
+    The traced warmup passes no ``counters``, so the peak is the marker's
+    own: ``new``'s counters hold a list of one int per string.  One more
+    call, neither timed nor traced, fills ``run.counters``.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     marker = get_marker(algo)
@@ -91,9 +97,8 @@ def run_marking(
         return None if timeout_s is None else time.monotonic() + timeout_s
 
     try:
-        result, peak = measure_peak_memory(
-            lambda: marker(trie, counters=run.counters, deadline=deadline())
-        )
+        result, peak = measure_peak_memory(lambda: marker(trie, deadline=deadline()))
+        marker(trie, counters=run.counters, deadline=deadline())
     except MarkTimeout:
         run.timed_out = True
         return run

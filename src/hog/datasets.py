@@ -14,9 +14,10 @@ used by the trie layer.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, count, pairwise, starmap
+from itertools import chain, count, islice, repeat
+from operator import sub
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -231,10 +232,21 @@ def generate_random(k: int, n: int, alphabet: bytes, seed: int) -> StringSet:
     return normalize(_random_strings(k, n, bytes(sorted(set(alphabet))), seed))
 
 
+#: 8-byte words of the stream that ``generate_random`` translates and cuts
+#: at a time: 256 KiB, so a set of up to that many bytes is one piece
+_PIECE_WORDS = 1 << 15
+
+
 def _random_strings(k: int, n: int, alphabet: bytes, seed: int) -> list[bytes]:
     """:func:`generate_random`'s strings in input order, for ``normalize``.
 
-    The block is freed once the strings are cut.  A set without repeats is
+    The stream's first ``n`` bytes are drawn and cut one piece at a time:
+    ``_PIECE_WORDS`` words, or as many as the next string needs, and what is
+    left of ``n`` in the last piece, so the words drawn are those of one
+    ``byte_block(n)`` (the one call for up to ``8 * _PIECE_WORDS`` bytes).
+    Each piece is translated and cut into the strings that end within it;
+    the bytes of a string that runs past it carry over to the next.  So
+    beside the strings about two pieces are held.  A set without repeats is
     returned as cut; otherwise one pass in position order redraws each
     repeat, and the set of kept strings is freed on return.
     """
@@ -242,10 +254,34 @@ def _random_strings(k: int, n: int, alphabet: bytes, seed: int) -> list[bytes]:
     base, extra = divmod(n, k)
     cut = extra * (base + 1)
     rng = SplitMix64(seed)
-    block = bytes(rng.byte_block(n)).translate(table)
-    bounds = chain(range(0, cut, base + 1), range(cut, n + 1, base))
-    raw = list(map(block.__getitem__, starmap(slice, pairwise(bounds))))
-    del block
+
+    def bounds() -> Iterator[int]:
+        return chain(range(0, cut, base + 1), range(cut, n + 1, base))
+
+    starts, ends = bounds(), islice(bounds(), 1, None)
+    words = (n + 7) // 8
+    raw: list[bytes] = []
+    carry = b""  # the drawn bytes of string len(raw), which runs on
+    drawn = 0  # bytes drawn, a whole number of words
+    while len(raw) < k:
+        i = len(raw)
+        need = (i + 1) * base + min(i + 1, extra) - drawn  # to end string i
+        m = min(words - drawn // 8, max(_PIECE_WORDS, (need + 7) // 8))
+        piece = bytes(rng.byte_block(min(8 * m, n - drawn))).translate(table)
+        buf = carry + piece if carry else piece
+        del piece
+        offset = drawn - len(carry)  # buf[0]'s place in the stream
+        drawn += 8 * m
+        # strings i .. j - 1 end within the drawn bytes
+        reach = min(drawn, n)
+        j = reach // (base + 1) if reach <= cut else extra + (reach - cut) // base
+        los, his = (starts, ends) if j - i == k else (islice(starts, j - i), islice(ends, j - i))
+        if offset:
+            shift = repeat(offset)
+            los, his = map(sub, los, shift), map(sub, his, shift)
+        raw += map(buf.__getitem__, map(slice, los, his))
+        carry = buf[j * base + min(j, extra) - offset :] if j < k else b""
+        del buf
     if len(set(raw)) == k:
         return raw
     kept: set[bytes] = set()

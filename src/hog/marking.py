@@ -49,7 +49,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
 
-from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie, _iota
+from .columns import iota
+from .trie import KIND_ACT, KIND_EHOG, MarkVector, OverlapTrie
 
 
 class MarkTimeout(RuntimeError):
@@ -108,7 +109,7 @@ def precompute_fav(t: OverlapTrie) -> FavStructure:
         base[p] += 1
     for v in islice(t.leaf_of, 1, None):
         base[v] += 1
-    fav_desc = _iota(n)
+    fav_desc = iota(n)
     fav_panc = t.parent[:]
     fav_panc[0] = 0
     for run in _UNFAVOURED_RUNS.finditer(flags):

@@ -51,6 +51,14 @@ few drop (the minimal step on reads; none on random text, a plain copy) it
 copies the kept runs of ids; where many drop (the extended step) it takes
 the kept nodes one by one, by a byte search and chunked ``itemgetter`` reads.
 
+Where ints become columns: no column is filled through ``array``'s per-item
+converter (about 60 ns an int from an iterator, 32 from a list); the
+helpers of :mod:`hog.columns` pack ints made in C with ``struct.pack``, a
+chunk at a time (about 17 ns an int), and copy runs of ids as bytes.  So
+are made the lcps, lengths and first ids of ``build_act``'s pass 1 and its
+pass 2 joins of ``depth``, ``start`` and edge bytes over chunks of nodes,
+the rows way's automaton runs, and ``contract``'s gathers and kept ids.
+
 Public API
 ----------
 OverlapTrie        container with navigation helpers and derived child lists
@@ -81,6 +89,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, getitem, itemgetter, sub
 
+from .columns import ID, gather, iota, lcp, misses, neighbour_lcps, packed, write_run, write_tails
 from .datasets import StringSet
 
 MarkVector = bytearray
@@ -201,49 +210,6 @@ class OverlapTrie:
 COLUMNS = tuple(f.name for f in fields(OverlapTrie))[2:]
 
 
-def _lcp(a: bytes, b: bytes) -> int:
-    """Length of the longest common prefix of ``a`` and ``b``.
-
-    The highest differing bit of the common-length prefixes, read
-    big-endian, falls in the first differing byte.
-    """
-    m = min(len(a), len(b))
-    diff = int.from_bytes(a[:m], "big") ^ int.from_bytes(b[:m], "big")
-    return m - 1 - (diff.bit_length() - 1) // 8 if diff else m
-
-
-#: bytes 0 and 1 of the ids ``0 .. 2**16 - 1``, one 64 KiB plane each
-_LOW_PLANES = (bytes(range(256)) * 256, b"".join(bytes((b,)) * 256 for b in range(256)))
-
-
-def _iota(n: int) -> array:
-    """``array("i", range(n))``, written one byte plane at a time.
-
-    Byte ``p`` of id ``i`` is ``(i >> 8p) & 255``.  Over each block of 2**16
-    ids the two low planes are the same two patterns, ``_LOW_PLANES``, and
-    each higher plane is one constant, so each plane of a block is one
-    strided copy into a byte view of a zeroed column (a zero plane is
-    skipped).  No Python int is made per id, and no temporary exceeds 64 KiB.
-    """
-    out = array("i", [0]) * n
-    width = out.itemsize
-    block = 1 << 16
-    with memoryview(out) as ints, ints.cast("B") as octets:
-        for a in range(0, n, block):
-            m = min(block, n - a)
-            for p in range(width):
-                if p < 2:
-                    plane = _LOW_PLANES[p]
-                elif (a >> 8 * p) & 255:
-                    plane = bytes(((a >> 8 * p) & 255,)) * m
-                else:
-                    continue
-                byte = p if sys.byteorder == "little" else width - 1 - p
-                with memoryview(plane) as view:
-                    octets[width * a + byte : width * (a + m) : width] = view[:m]
-    return out
-
-
 def build_act(ss: StringSet) -> OverlapTrie:
     """Build the one-character-per-edge trie of all prefixes, with suffix links.
 
@@ -251,15 +217,22 @@ def build_act(ss: StringSet) -> OverlapTrie:
     characters past its longest common prefix (lcp) with string ``j - 1``, and
     they get consecutive ids: no child searches, and ids come out in DFS
     pre-order.  The insertion takes two passes, so that per-node work happens
-    only in C-level slice copies.  The first computes every lcp and tail,
-    hence the node count, and fills whole columns as they are inside a tail
-    (the parent is the node before, no sibling, no whole string).  The second
-    walks the path to the previous string: it mends each tail's two ends and
-    writes the ``depth`` and ``start`` slices into columns sized by the first,
-    so no column grows by reallocation.  A fresh node's leaf interval starts
-    at the string that created it and ends at the last string inserted before
-    it leaves the path; the nodes that leave together form one run of
-    consecutive ids per tail on the path, so ``end`` is set one run at a time.
+    only in C-level copies.  The first computes every lcp
+    (:func:`~hog.columns.neighbour_lcps`, from the XOR of each neighbour
+    pair's first ``LCP_WIDTH`` bytes read as big-endian ints) and tail, hence
+    the node count, and fills whole columns as they are inside a tail (the
+    parent is the node before, no sibling, no whole string).  The second
+    writes ``depth``, ``start`` and the chase's edge bytes as joins of whole
+    tails (:func:`~hog.columns.write_tails`) into columns sized by the first,
+    so no column grows by reallocation; then it walks the path to the
+    previous string and mends what the joins cannot write: each tail head's
+    parent, the ``end`` runs and the sibling links.  A fresh node's leaf
+    interval starts at the string that created it and ends at the last string
+    inserted before it leaves the path; the nodes that leave together form
+    one run of consecutive ids per tail on the path, so ``end`` is set one run
+    at a time.  The ints of pass 1 and of the rows way's runs become columns
+    through ``struct.pack``, a chunk at a time, not ``array``'s per-item
+    converter (see :mod:`hog.columns`).
 
     Suffix links are then filled one of two ways, to the same values.  By
     rows (:func:`_links_by_rows`), each node down to a depth ``top`` gets its
@@ -314,9 +287,9 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
     strings = ss.strings
     # pass 1, per string: string j's tail of fresh nodes is firsts[j - 1]
     # up to firsts[j] - 1, its characters past the lcp with string j - 1
-    lcps = array("i", map(_lcp, strings, chain((b"",), strings)))
-    lens = array("i", map(len, strings))
-    firsts = array("i", accumulate(map(sub, lens, lcps), initial=1))
+    lens = packed(map(len, strings))
+    lcps = neighbour_lcps(strings, lens)
+    firsts = packed(accumulate(map(sub, lens, lcps), initial=1))
     n_nodes = firsts[-1]
     # no node deeper than the largest lcp branches
     branched = max(lcps)
@@ -341,20 +314,24 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
             deep = _nodes_to_depth(lcps, lens, top + 1) - _nodes_to_depth(lcps, lens, top)
             by_rows = deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE
     by_rows = bool(by_rows)
-    # the ids 0..n_nodes, which pass 2's slice copies read, made without a
-    # Python int per id
-    iota = _iota(n_nodes + 1)
-
-    # whole columns, as they are inside a tail; pass 2 mends its two ends
-    parent = array("i", [-1]) + iota[: n_nodes - 1]
+    # whole columns, as they are inside a tail; pass 2 mends its two ends.
+    # parent[v] is v - 1 there.  The ids are a temporary one longer than a
+    # column, freed at once: glibc then raises its mmap threshold past a
+    # column's size, so the columns made next come from the heap and reuse
+    # its free memory (fresh-process peak RSS on dna-short 24.96 MB, against
+    # 25.24 with parent built in place)
+    ids = iota(n_nodes + 1)
+    parent = array("i", [-1]) + ids[: n_nodes - 1]
+    del ids
     end = array("i", [k]) * n_nodes  # nodes still on the path at the end
-    leaf_of = array("i", map((-1).__add__, firsts))  # a tail's last node
+    leaf_of = packed(map((-1).__add__, firsts))  # a tail's last node
     leaf_of[0] = -1
     depth = array("i", [0]) * n_nodes
     start = array("i", [1]) * n_nodes
     # the chase's sibling links and edge bytes (labels[v - 1]: node v's)
     next_sibling = None if by_rows else array("i", [-1]) * n_nodes
     labels = None if by_rows else bytearray(n_nodes - 1)
+    write_tails(strings, lcps, lens, firsts, depth, start, labels)
 
     # pass 2, path bookkeeping: the path to the previous string is one run
     # of consecutive ids per tail on it, runs[i] the depth where run i
@@ -363,32 +340,31 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
     runs = [0]
     shifts = [0]
     path = 0  # the path's depth
-    for j, s, lcp, node, length in zip(count(1), strings, lcps, firsts, lens):
-        # sorted and distinct, so s extends past the lcp: tail >= 1 node
-        if path > lcp:
-            last_run = array("i", [j - 1])
-            while runs[-1] > lcp:
-                a = runs.pop()
-                shift = shifts.pop()
-                end[a + shift : path + shift + 1] = last_run * (path + 1 - a)
-                path = a - 1
+    width = ID.size
+    with memoryview(end) as ends, ends.cast("B") as end_octets:
+        for j, lcp, node, length in zip(count(1), lcps, firsts, lens):
+            # sorted and distinct, so string j extends past the lcp: its
+            # tail has at least one node
             if path > lcp:
-                shift = shifts[-1]
-                end[lcp + 1 + shift : path + shift + 1] = last_run * (path - lcp)
-            # the path's node at depth lcp + 1 is the last child so far of
-            # its node at depth lcp; the tail follows it
-            if next_sibling is not None:
-                next_sibling[lcp + 1 + shift] = node
-        leaf = node + length - lcp - 1
-        parent[node] = lcp + shifts[-1]
-        depth[node : leaf + 1] = iota[lcp + 1 : length + 1]
-        start[node : leaf + 1] = iota[j : j + 1] * (length - lcp)
-        if labels is not None:
-            labels[node - 1 : leaf] = s[lcp:]
-        runs.append(lcp + 1)
-        shifts.append(node - lcp - 1)
-        path = length
-    del iota
+                last_run = ID.pack(j - 1)
+                while runs[-1] > lcp:
+                    a = runs.pop()
+                    shift = shifts.pop()
+                    lo, hi = a + shift, path + shift + 1
+                    end_octets[width * lo : width * hi] = last_run * (hi - lo)
+                    path = a - 1
+                if path > lcp:
+                    shift = shifts[-1]
+                    lo, hi = lcp + 1 + shift, path + shift + 1
+                    end_octets[width * lo : width * hi] = last_run * (hi - lo)
+                # the path's node at depth lcp + 1 is the last child so far
+                # of its node at depth lcp; the tail follows it
+                if next_sibling is not None:
+                    next_sibling[lcp + 1 + shift] = node
+            parent[node] = lcp + shifts[-1]
+            runs.append(lcp + 1)
+            shifts.append(node - lcp - 1)
+            path = length
     if by_rows:
         suffix_link = _links_by_rows(
             strings, lcps, lens, firsts, top, branched, alphabet, parent, depth, start, leaf_of
@@ -427,11 +403,11 @@ def _alphabet(strings: tuple[bytes, ...]) -> bytes:
 def _agree(s: bytes, i: int, t: bytes, j: int) -> int:
     """Length of the common prefix of ``s[i:]`` and ``t[j:]``, read in
     widths doubling from 8 bytes, so that a short one costs one small
-    ``_lcp``."""
+    ``lcp``."""
     run = 0
     width = 8
     while True:
-        got = _lcp(s[i + run : i + run + width], t[j + run : j + run + width])
+        got = lcp(s[i + run : i + run + width], t[j + run : j + run + width])
         run += got
         if got < width:  # a mismatch, or the end of s or t
             return run
@@ -442,8 +418,11 @@ def _copy_run(suffix_link: array, parent: array, c: int, x: int, run: int) -> No
     """Link ``c + 1 .. c + run`` to ``x + 1 .. x + run``, the first-child
     chain below the rows way's deep link ``x``: along it each node's parent
     is the id before it, so the ids are a slice of ``parent`` (the last
-    written alone: ``x + run`` may be the last id)."""
-    suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
+    written alone: ``x + run`` may be the last id).  ``suffix_link`` may be
+    exporting its buffer, so no empty slice is written: that would resize
+    it."""
+    if run > 1:
+        suffix_link[c + 1 : c + run] = parent[x + 2 : x + 1 + run]
     suffix_link[c + run] = x + run
 
 
@@ -585,8 +564,10 @@ def _links_by_rows(
 
     A run starts at the row of the link of a node's parent: ``accumulate``
     reads the string's codes in C, and each state's id is the next node's
-    link.  It stops at ``()``, a node of depth ``top + 1``, found among the
-    sorted strings.  From a deep link ``x``, the links follow ``x``'s
+    link; :func:`~hog.columns.write_run` collects the ids with
+    ``list.extend`` and packs them into ``suffix_link``'s bytes, one slice
+    write per ``CHUNK`` ids.  It stops at ``()``, a node of depth ``top +
+    1``, found among the sorted strings.  From a deep link ``x``, the links follow ``x``'s
     first-child chain while the two strings agree, then ``x``'s other child
     if it branches, then the chase goes on through deep links until a
     shallow one starts the next run.  A deep link not filled yet parks the
@@ -649,58 +630,55 @@ def _links_by_rows(
         for leaf, m, lcp in zip(islice(leaf_of, 1, None), lens, lcps)
         if m > top + 1
     )
-    for c, last in chain(heads, parked.resumed(leaf_of, start)):
-        s = strings[start[c] - 1]
-        codes = memoryview(s.translate(table))
-        d = depth[c]  # c's edge byte is s[d - 1]
-        x = suffix_link[parent[c]]
-        while True:
-            if x == -1:
-                parked.park(c, d)
-                break
-            dx = depth[x]
-            if dx > top:
-                # x's first child is x + 1, on x's own string t
-                t = strings[start[x] - 1]
-                if dx < len(t) and t[dx] == s[d - 1]:
-                    run = _agree(s, d - 1, t, dx)
-                    _copy_run(suffix_link, parent, c - 1, x, run)
-                    c += run
-                    if c > last:
-                        break
-                    d += run
-                    x += run
-                    dx += run
-                # no deeper than the largest lcp, x may have other children
-                if dx <= branched and (y := _node_of(strings, leaf_of, s[d - 1 - dx : d])) != -1:
-                    x = suffix_link[c] = y
-                    c += 1
-                    if c > last:
-                        break
-                    d += 1
-                else:
-                    x = suffix_link[x]
-                continue
-            # x spells the dx bytes before c's edge byte
-            row = reduce(getitem, codes[d - 1 - dx : d - 1], root)
-            out = array("i")
-            try:
-                out.extend(islice(map(at_id, accumulate(codes[d - 1 :], getitem, initial=row)), 1, None))
-            except IndexError:
-                pass
-            got = len(out)
-            suffix_link[c : c + got] = out
-            c += got
-            if c > last:
-                break
-            # the run stopped at a deep state, ``()``: c's link is the node
-            # of depth top + 1 that ends at c's edge byte
-            d += got
-            x = suffix_link[c] = _node_of(strings, leaf_of, s[d - 1 - top : d])
-            c += 1
-            if c > last:
-                break
-            d += 1
+    with memoryview(suffix_link) as links, links.cast("B") as octets:
+        for c, last in chain(heads, parked.resumed(leaf_of, start)):
+            s = strings[start[c] - 1]
+            codes = memoryview(s.translate(table))
+            d = depth[c]  # c's edge byte is s[d - 1]
+            x = suffix_link[parent[c]]
+            while True:
+                if x == -1:
+                    parked.park(c, d)
+                    break
+                dx = depth[x]
+                if dx > top:
+                    # x's first child is x + 1, on x's own string t
+                    t = strings[start[x] - 1]
+                    if dx < len(t) and t[dx] == s[d - 1]:
+                        run = _agree(s, d - 1, t, dx)
+                        _copy_run(suffix_link, parent, c - 1, x, run)
+                        c += run
+                        if c > last:
+                            break
+                        d += run
+                        x += run
+                        dx += run
+                    # no deeper than the largest lcp, x may have other children
+                    y = -1 if dx > branched else _node_of(strings, leaf_of, s[d - 1 - dx : d])
+                    if y != -1:
+                        x = suffix_link[c] = y
+                        c += 1
+                        if c > last:
+                            break
+                        d += 1
+                    else:
+                        x = suffix_link[x]
+                    continue
+                # x spells the dx bytes before c's edge byte
+                row = reduce(getitem, codes[d - 1 - dx : d - 1], root)
+                states = accumulate(codes[d - 1 :], getitem, initial=row)
+                got = write_run(octets, c, islice(map(at_id, states), 1, None))
+                c += got
+                if c > last:
+                    break
+                # the run stopped at a deep state, ``()``: c's link is the node
+                # of depth top + 1 that ends at c's edge byte
+                d += got
+                x = suffix_link[c] = _node_of(strings, leaf_of, s[d - 1 - top : d])
+                c += 1
+                if c > last:
+                    break
+                d += 1
     # rows point at each other: clear them, so that they are freed now
     for row in made:
         row.clear()
@@ -781,38 +759,6 @@ def contract(t: OverlapTrie, marks: MarkVector, new_kind: str) -> OverlapTrie:
     return contract_unchecked(t, marks, new_kind, drops <= _RUNS_MAX_DROP_SHARE * n)
 
 
-def _misses(column: array, i: int = 0) -> Iterator[int]:
-    """The indices of ``column``'s ``-1`` entries from ``i`` on, each found
-    by a C-level search of a copy of its bytes for an all-ones entry; an
-    entry may be rewritten once it is yielded.
-
-    Ids are at least ``-1``, so an entry other than ``-1`` has a top byte of
-    at most 0x7f, and an all-ones window that straddles two entries holds a
-    ``-1`` entry's top byte: the first match is that entry, at its own
-    offset (little-endian) or at the next one (big-endian).
-    """
-    width = column.itemsize
-    ones = b"\xff" * width
-    octets = column.tobytes()
-    while (at := octets.find(ones, width * i)) != -1:
-        i = (at + width - 1) // width
-        yield i
-        i += 1
-
-
-_GATHER_CHUNK = 1024  # ids per itemgetter call, which holds them all as ints
-
-
-def _gather(column: array, ids: array) -> array:
-    """``array("i", map(column.__getitem__, ids))``, read in C by one
-    ``itemgetter`` per ``_GATHER_CHUNK`` ids (one id alone gives no tuple)."""
-    out = array("i")
-    for a in range(0, len(ids), _GATHER_CHUNK):
-        got = itemgetter(*ids[a : a + _GATHER_CHUNK])(column)
-        out.extend(got if type(got) is tuple else (got,))
-    return out
-
-
 def _chase_to_kept(w: int, suffix_link: array, newid: array) -> int:
     """The new id of the first kept node on old node ``w``'s suffix chain.
 
@@ -841,10 +787,11 @@ def contract_unchecked(
     only a node whose parent dropped climbs; or one by one from the list of
     kept ids, where many do, and then every node climbs.  That list comes
     from a C search of the marks for byte 1, with nothing made per dropped
-    node, and columns are read through it by the chunked :func:`_gather`.
-    Both build the same columns.
+    node, packed by :func:`~hog.columns.packed`, and columns are read
+    through it by the chunked :func:`~hog.columns.gather`.  Both build the
+    same columns.
 
-    Ids are mapped through ``newid``, also by :func:`_gather`; it is ``-1`` at
+    Ids are mapped through ``newid``, also by ``gather``; it is ``-1`` at
     an unmarked node and at the extra entry ``n`` (so the root's parent stays
     ``-1``).  A climber finds its nearest kept ancestor from the kept node
     before it, through the new parents: leaf intervals are laminar, so a node
@@ -862,9 +809,9 @@ def contract_unchecked(
             runs.append((a, b))
             a = b + 1
         runs.append((a, n))
-        iota = _iota(n)
+        ids = iota(n)
         for i, (a, b) in enumerate(runs):  # the run after i drops
-            newid[a:b] = iota[a - i : b - i]
+            newid[a:b] = ids[a - i : b - i]
 
         def take(column: array) -> array:
             out = array("i")
@@ -873,15 +820,15 @@ def contract_unchecked(
             return out
 
         # only a kept node whose parent dropped climbs
-        new_parent = _gather(newid, take(t.parent))
-        climbers = _misses(new_parent, 1)
+        new_parent = gather(newid, take(t.parent))
+        climbers = misses(new_parent, 1)
     else:
-        kept = array("i", map(re.Match.start, re.finditer(b"\x01", marks)))
+        kept = packed(map(re.Match.start, re.finditer(b"\x01", marks)))
         for nv, v in enumerate(kept):
             newid[v] = nv
 
         def take(column: array) -> array:
-            return _gather(column, kept)
+            return gather(column, kept)
 
         new_parent = array("i", [-1]) * len(kept)
         climbers = range(1, len(kept))
@@ -897,8 +844,8 @@ def contract_unchecked(
 
     suffix_link = t.suffix_link
     old_sl = take(suffix_link)
-    new_sl = _gather(newid, old_sl)
-    for nv in _misses(new_sl):
+    new_sl = gather(newid, old_sl)
+    for nv in misses(new_sl):
         new_sl[nv] = _chase_to_kept(old_sl[nv], suffix_link, newid)
 
     return OverlapTrie(
@@ -909,7 +856,7 @@ def contract_unchecked(
         suffix_link=new_sl,
         start=new_start,
         end=new_end,
-        leaf_of=_gather(newid, t.leaf_of),
+        leaf_of=gather(newid, t.leaf_of),
     )
 
 

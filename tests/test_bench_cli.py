@@ -24,7 +24,7 @@ from hog.bench import (
 from hog.cli import main
 from hog.datasets import generate_random, normalize
 from hog.ehog import build_ehog
-from hog.marking import MarkTimeout
+from hog.marking import MarkTimeout, mark_hog_new
 
 FIG1 = [b"aabaa", b"aadbd", b"dbdaa"]
 
@@ -100,6 +100,19 @@ def test_marking_peaks_reproduce_across_identical_builds():
     second = run_marking(build_ehog(ss).trie, "new", reps=1)
     third = run_marking(build_ehog(ss).trie, "new", reps=1)
     assert second.peak_alloc == third.peak_alloc
+
+
+def test_marking_peak_is_taken_without_counters():
+    # new's counters hold vm_lengths, one int per string: they are filled
+    # by a call of their own, outside the traced one
+    t = build_ehog(generate_random(2000, 20_000, b"ACGT", seed=1)).trie
+    run = run_marking(t, "new", reps=1)
+    _, own = measure_peak_memory(lambda: mark_hog_new(t))
+    _, counted = measure_peak_memory(lambda: mark_hog_new(t, counters={}))
+    assert run.peak_alloc == own < counted
+    c = {}
+    mark_hog_new(t, counters=c)
+    assert run.counters == c and len(c["vm_lengths"]) == 2000
 
 
 def test_marking_peaks_do_not_depend_on_call_history():

@@ -285,6 +285,16 @@ def test_generate_random_traced_peak():
     assert peak <= 3_800_000
 
 
+def test_generate_random_traced_peak_per_input_byte():
+    # the strings are cut from one 256 KiB piece of the stream at a time, so
+    # beside the 4 MB of strings about two pieces are held (2.01 bytes per
+    # input byte when the whole block was drawn at once)
+    generate_random(1_000, 4_000_000, b"ACGT", 1)
+    ss, peak = measure_peak_memory(lambda: generate_random(1_000, 4_000_000, b"ACGT", 1))
+    assert ss.n == 4_000_000
+    assert peak / ss.n <= 1.3
+
+
 def test_generate_random_gives_up_after_the_redraw_budget(monkeypatch):
     # the second of three unary strings is drawn once and redrawn
     # _MAX_REDRAWS times, as the sequential reference does, before the error

@@ -5,6 +5,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +17,12 @@ from hog.ehog import build_ehog, mark_ehog
 from hog.marking import mark_hog_new
 import hog.trie
 import hog.verify
+from hog.columns import CHUNK, LCP_WIDTH, gather, iota, lcp, misses, neighbour_lcps
 from hog.trie import (
     COLUMNS,
     KIND_ACT,
     KIND_EHOG,
     KIND_HOG,
-    _gather,
-    _iota,
-    _lcp,
-    _misses,
     build_act,
     build_act_unchecked,
     contract,
@@ -281,7 +279,7 @@ def row_plan(ss):
     the share of links expected deeper: the nodes one deeper among all
     strings of that length."""
     act = build_act(ss)
-    branched = max(map(_lcp, ss.strings, (b"",) + ss.strings))
+    branched = max(map(lcp, ss.strings, (b"",) + ss.strings))
     sigma = len(set(b"".join(ss.strings)))
     budget = hog.trie._ROWS_MAX_BYTES_PER_NODE * act.n_nodes - 40 * ss.k
     top = max(d for d in range(branched + 1)
@@ -293,7 +291,7 @@ def test_build_act_takes_the_chase_where_no_string_runs_past_the_branching(monke
     # 10-byte strings and a largest lcp of 9: no node below the deepest
     # branching node has a child, so runs would have next to nothing to fill
     ss = generate_random(2_000, 20_000, b"ACGT", 1)
-    assert max(map(_lcp, ss.strings, (b"",) + ss.strings)) + 1 >= 10
+    assert max(map(lcp, ss.strings, (b"",) + ss.strings)) + 1 >= 10
     assert routes_taken(monkeypatch, ss) == [("chase",)]
 
 
@@ -461,6 +459,29 @@ def test_build_act_traced_peak_per_node_on_one_long_string():
     assert peak / act.n_nodes <= 30
 
 
+def test_build_act_traced_peak_per_node_by_the_chase():
+    # dna-short's shape, 20,000 strings of 10 bytes, whose links come from
+    # the chase: pass 2 joins the tails of at most TAIL_CHUNK nodes at a
+    # time (29.6 bytes per node when it wrote three slices per string)
+    ss = generate_random(20_000, 200_000, b"ACGT", 1)
+    build_act(ss)
+    act, peak = measure_peak_memory(lambda: build_act(ss))
+    assert act.n_nodes == 73_799
+    assert peak / act.n_nodes <= 32
+
+
+def test_contract_extended_traced_peak_per_kept_node():
+    # the extended step on dna-short's shape takes the kept nodes one by one:
+    # the gathers and the kept ids are packed a chunk at a time
+    ss = generate_random(20_000, 200_000, b"ACGT", 1)
+    act = build_act(ss)
+    marks = mark_ehog(act)
+    contract(act, marks, KIND_EHOG)
+    ext, peak = measure_peak_memory(lambda: contract(act, marks, KIND_EHOG))
+    assert ext.n_nodes == 39_598
+    assert peak / ext.n_nodes <= 45
+
+
 # -- the string map -------------------------------------------------------------
 
 def assert_string_map(t):
@@ -563,23 +584,81 @@ def test_insertion_matches_naive_trie_on_a_large_read_set():
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 64])
 def test_lcp(m):
     a = bytes(range(m))
-    assert _lcp(a, a) == m
-    assert _lcp(a, a + b"x") == _lcp(a + b"x", a) == m
-    assert _lcp(a + b"\x00", a + b"\x01") == m
-    assert _lcp(a + b"\xff" * 9, a + b"\xfe" * 9) == m
-    assert _lcp(b"", a) == 0
+    assert lcp(a, a) == m
+    assert lcp(a, a + b"x") == lcp(a + b"x", a) == m
+    assert lcp(a + b"\x00", a + b"\x01") == m
+    assert lcp(a + b"\xff" * 9, a + b"\xfe" * 9) == m
+    assert lcp(b"", a) == 0
+
+
+def lcps_by_pairs(strings):
+    return array("i", map(lcp, strings, chain((b"",), strings)))
+
+
+@st.composite
+def neighbour_sets(draw):
+    """Sorted distinct strings over all 256 bytes with some of their
+    prefixes and extensions: neighbours that agree past ``LCP_WIDTH``
+    bytes, or that differ only where one of them has ended."""
+    base = draw(st.lists(st.binary(min_size=1, max_size=3 * LCP_WIDTH), min_size=1, max_size=20))
+    more = [s[: draw(st.integers(1, len(s)))] for s in base]
+    more += [s + draw(st.binary(max_size=2 * LCP_WIDTH)) for s in base]
+    return tuple(sorted(set(base + more)))
+
+
+@given(neighbour_sets())
+@settings(max_examples=300, deadline=None)
+def test_neighbour_lcps_match_lcp(strings):
+    assert neighbour_lcps(strings, array("i", map(len, strings))) == lcps_by_pairs(strings)
+
+
+@pytest.mark.parametrize(
+    "strings",
+    [
+        (bytes(range(256)),),
+        (b"a", b"a\x00", b"a\x00\x00", b"a ", b"a  x", b"a\xff"),
+        tuple(bytes(range(i, 256)) for i in range(256)),
+        tuple(sorted(bytes(range(m)) for m in range(1, 3 * LCP_WIDTH))),
+        # every key agrees on all its bytes, at every chunk's first string
+        tuple(b"\x00" * LCP_WIDTH + b"%06d" % i for i in range(3 * CHUNK + 1)),
+    ],
+    ids=["k=1", "pads", "all-bytes", "prefix-chain", "chunks"],
+)
+def test_neighbour_lcps_match_lcp_on_fixed_sets(strings):
+    assert neighbour_lcps(strings, array("i", map(len, strings))) == lcps_by_pairs(strings)
+
+
+def test_neighbour_lcps_on_one_long_string_among_short_ones():
+    # the keys are cut to LCP_WIDTH bytes, not padded to the longest string:
+    # the traced peak is O(k * W); the long string shares 20 bytes with one
+    # short string, so that pair is read whole by lcp
+    rng = random.Random(1)
+    short = set()
+    while len(short) < 1000:
+        short.add(bytes(rng.choices(b"ACGT", k=rng.randint(1, 30))))
+    stem = max(short, key=len)[:20]
+    strings = tuple(sorted(short | {stem + bytes(rng.choices(b"ACGT", k=100_000 - 20))}))
+    lens = array("i", map(len, strings))
+    neighbour_lcps(strings, lens)
+    got, peak = measure_peak_memory(lambda: neighbour_lcps(strings, lens))
+    assert got == lcps_by_pairs(strings) and max(got) >= 20
+    assert peak <= 8 * len(strings) * LCP_WIDTH
+    ss = normalize(list(strings))
+    by_rows, by_chase = build_act_unchecked(ss, True), build_act_unchecked(ss, False)
+    for c in COLUMNS:
+        assert getattr(by_rows, c) == getattr(by_chase, c), c
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537, 200003])
 def test_iota_matches_range(n):
-    assert _iota(n) == array("i", range(n))
+    assert iota(n) == array("i", range(n))
 
 
 def test_iota_writes_the_fourth_byte_plane():
     # past 2**24 ids the highest byte is nonzero: compare a strided sample and
     # the tail, which crosses 2**24, not a second 64 MiB array
     n = 2**24 + 70_001
-    ids = _iota(n)
+    ids = iota(n)
     assert len(ids) == n
     assert ids[::9973] == array("i", range(0, n, 9973))
     assert ids[-100_000:] == array("i", range(n - 100_000, n))
@@ -593,7 +672,7 @@ def test_misses_finds_each_minus_one_among_near_misses(seed):
     near = [-1, 0, 2**31 - 1, 0x00FFFFFF, 0xFFFF, 0x7FFFFF7F, -1 & 0x7FFFFFFF, 255]
     column = array("i", (rng.choice(near) for _ in range(rng.randint(0, 64))))
     i = rng.randint(0, len(column))
-    assert list(_misses(column, i)) == [v for v in range(i, len(column)) if column[v] == -1]
+    assert list(misses(column, i)) == [v for v in range(i, len(column)) if column[v] == -1]
 
 
 @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2049])
@@ -603,7 +682,7 @@ def test_gather_matches_one_read_per_id(m):
     rng = random.Random(m)
     column = array("i", (rng.randrange(-1, 5000) for _ in range(3000))) + array("i", [-1])
     ids = array("i", [-1][:m] + [rng.randrange(-1, len(column)) for _ in range(m - 1)])
-    assert _gather(column, ids) == array("i", map(column.__getitem__, ids))
+    assert gather(column, ids) == array("i", map(column.__getitem__, ids))
 
 
 # -- contraction --------------------------------------------------------------
@@ -809,17 +888,17 @@ def assert_matches_node_strings(t, kept, ss):
 
 
 def test_contract_ways_agree_across_gather_chunks():
-    # 6,000 extended nodes: the kept counts cross several chunks of _gather
+    # 6,000 extended nodes: the kept counts cross several chunks of gather
     act = build_act(generate_random(3000, 30_000, b"ACGT", 1))
     em = mark_ehog(act)
     e = contract_unchecked(act, em, KIND_EHOG, False)
-    assert e.n_nodes > 5 * hog.trie._GATHER_CHUNK
+    assert e.n_nodes > 5 * CHUNK
     kept = sorted(act.node_string(v) for v in range(act.n_nodes) if em[v])
     assert_matches_node_strings(e, kept, act.strings)
     for seed, share in enumerate((0.0, 0.1, 0.5, 0.9)):
         marks = sparse_marks(e, seed, share)
         kept = sorted(e.node_string(v) for v in range(e.n_nodes) if marks[v])
-        assert len(kept) > 2 * hog.trie._GATHER_CHUNK
+        assert len(kept) > 2 * CHUNK
         assert_matches_node_strings(assert_routes_agree(e, marks), kept, e.strings)
 
 
