@@ -30,8 +30,9 @@ per node plus the rows, 26.9 on random DNA of 100-byte strings and 21.4 on
 reads.  By the chase, one link per step, it holds 7 more bytes per node
 (``next_sibling``, a 2-byte first-child label and the 1-byte edge labels)
 and a table of the root's children: about 27 to 30.  It
-takes the rows where few links are expected deeper than them, and the chase
-otherwise, as with short strings.  Child lists and edge bytes are not stored: in pre-order they
+takes the rows where they reach the deepest branching node or few links are
+expected deeper than them, and the chase otherwise, as with short strings.
+Child lists and edge bytes are not stored: in pre-order they
 follow from ``parent`` (a node's children are the ids whose parent it is,
 in ascending order), and ``OverlapTrie`` derives them on request; so is
 ``string_of``, the inverse of ``leaf_of``.  A string sorts first among those
@@ -43,7 +44,9 @@ input string.
 
 Leaf intervals are set by ``build_act`` during the sorted insertion and
 carried through by ``contract``; ``leaf_intervals`` recomputes them
-independently, for ``verify_structure``'s audit.
+independently, for ``verify_structure``'s audit, which makes its per-node
+checks in one forward pass over the ids and recomputes the intervals only
+where every parent precedes its node and every ``leaf_of`` entry names one.
 
 ``contract`` maps parents and suffix links the same way whatever drops;
 only how it takes the kept nodes follows the share of unmarked nodes.  Where
@@ -248,12 +251,15 @@ def build_act(ss: StringSet) -> OverlapTrie:
     (2) and ``next_sibling`` (4), held beside the output columns, and a
     256-entry table of the root's children.  The rows
     are taken where some string runs more than one byte past depth ``L``
-    and at most ``_ROWS_MAX_DEEP_SHARE`` of the links are expected deeper
-    than ``top`` (the nodes of depth ``top + 1`` among the σ ** (top + 1)
-    strings of that length), since each such link costs the runs some
-    Python steps; the chase otherwise, as with 20,000 random strings of 10
-    bytes.  Either way a node whose link waits for one not filled yet is
-    parked by depth and resumed once every shallower link is final.  Below
+    and either ``top`` is ``L``, so that every deeper link lies on a
+    first-child chain that the runs copy by slices (as on periodic strings,
+    where the chase took about 7 times as long), or at most
+    ``_ROWS_MAX_DEEP_SHARE`` of the links are expected deeper than ``top``
+    (the nodes of depth ``top + 1`` among the σ ** (top + 1) strings of that
+    length), since each such link costs the runs some Python steps; the
+    chase otherwise, as with 20,000 random strings of 10 bytes.  Either way
+    a node whose link waits for one not filled yet is parked by depth and
+    resumed once every shallower link is final.  Below
     the rows, where links climb down the first-child chain of a deep node,
     the rest of that run is found with one byte-level lcp and copied with
     one slice of ``parent``.
@@ -309,10 +315,12 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
             else:
                 hi = mid - 1
         if by_rows is None:
-            # the share of links deeper than top expected of random text: the
-            # nodes of depth top + 1 among all strings of that length
+            # rows down to the largest lcp leave every deeper link on a
+            # first-child chain, copied by slices; else the share of links
+            # deeper than top expected of random text: the nodes of depth
+            # top + 1 among all strings of that length
             deep = _nodes_to_depth(lcps, lens, top + 1) - _nodes_to_depth(lcps, lens, top)
-            by_rows = deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE
+            by_rows = top >= branched or deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE
     by_rows = bool(by_rows)
     # whole columns, as they are inside a tail; pass 2 mends its two ends.
     # parent[v] is v - 1 there.  The ids are a temporary one longer than a
@@ -693,11 +701,12 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
     single reverse-id sweep folds each node's range into its parent, which
     is correct because parents always precede children in id order (a
     parent that does not raises ``ValueError``, as does a ``leaf_of`` entry
-    that names no node).  The node ``leaf_of[j]`` seeds its range with ``j``.
+    that names no node).  The node ``leaf_of[j]`` seeds its range with ``j``;
+    a node left with no string raises too, found by a C search.
     """
     n = t.n_nodes
-    start = array("i", [_INT_MAX]) * n if n else array("i")
-    end = array("i", [-1]) * n if n else array("i")
+    start = array("i", [_INT_MAX]) * n
+    end = array("i", [-1]) * n
     for j, v in enumerate(islice(t.leaf_of, 1, None), 1):
         if not 0 <= v < n:
             raise ValueError(f"string {j}: leaf_of names node {v}, out of range")
@@ -712,9 +721,8 @@ def leaf_intervals(t: OverlapTrie) -> tuple[array, array]:
             start[p] = start[v]
         if end[v] > end[p]:
             end[p] = end[v]
-    for v in range(n):
-        if start[v] == _INT_MAX:
-            raise ValueError(f"node {v} has no whole-string descendant")
+    if _INT_MAX in start:
+        raise ValueError(f"node {start.index(_INT_MAX)} has no whole-string descendant")
     return start, end
 
 
@@ -867,124 +875,127 @@ def verify_structure(t: OverlapTrie) -> list[str]:
     """Audit every structural invariant; return human-readable violations.
 
     An empty list means the structure passed; a corrupted one yields
-    violations, not an exception.  Checks cover tree shape, depth/label
-    consistency, child ordering, suffix-link validity, interval exactness
-    and the string map.  Child lists are built from the parents that
-    pass the shape check, so every node is in exactly one of them, and a
-    node's strings are read only where its ``start`` names a string.
+    violations, not an exception, each once and in no fixed order.  Checks
+    cover tree shape, depth/label consistency, child ordering, suffix-link
+    validity, interval exactness and the string map.
+
+    One forward pass over the node ids makes the per-node checks.  A node
+    whose parent does not precede it is checked no further, and the other
+    nodes compare themselves with their parent's previous child: ``last[p]``
+    is ``p``'s last child so far whose ``start`` names a string, the only
+    children whose strings are read.  Then the string map runs over the
+    ``k`` strings, and a C search finds the leaves that no string names.
+    The intervals are recomputed by :func:`leaf_intervals` only when every
+    parent precedes its node and every ``leaf_of`` entry names a node:
+    otherwise it could only report again a fault already reported.
     Suffix-link *maximality* (no longer proper suffix exists as a node)
     needs all node strings, so it runs only on structures up to
     ``_SMALL_AUDIT_NODES`` nodes; the suffix *property* itself is always
     checked.
     """
-    out: list[str] = []
     n = t.n_nodes
-    k = t.k
-    ss = t.strings
-
     if n < 1:
         return ["trie has no nodes"]
-    if t.parent[0] != -1:
-        out.append(f"root parent is {t.parent[0]}, expected -1")
-    if t.depth[0] != 0:
-        out.append(f"root depth is {t.depth[0]}, expected 0")
-    if t.suffix_link[0] != 0:
-        out.append(f"root suffix link is {t.suffix_link[0]}, expected 0 (itself)")
-    if n > 1 and (t.start[0] != 1 or t.end[0] != k):
-        out.append(f"root interval is [{t.start[0]},{t.end[0]}], expected [1,{k}]")
+    k = t.k
+    parent, depth, suffix_link, start, end = t.parent, t.depth, t.suffix_link, t.start, t.end
+    out: list[str] = []
+    if parent[0] != -1:
+        out.append(f"root parent is {parent[0]}, expected -1")
+    if depth[0] != 0:
+        out.append(f"root depth is {depth[0]}, expected 0")
+    if suffix_link[0] != 0:
+        out.append(f"root suffix link is {suffix_link[0]}, expected 0 (itself)")
+    if n > 1 and (start[0] != 1 or end[0] != k):
+        out.append(f"root interval is [{start[0]},{end[0]}], expected [1,{k}]")
 
-    # node_string and edge_label read string(start[v]); the root reads none
-    spelled = bytearray(1 <= j <= k for j in t.start)
-    spelled[0] = 1
-    children: list[list[int]] = [[] for _ in range(n)]
+    act = t.kind == KIND_ACT
+    sound = True  # every parent precedes its node, every leaf_of names a node
+    last = array("i", [0]) * n
+    held = bytearray(n)  # bit 1: the node has a child; bit 2: a string names it
     for v in range(1, n):
-        p = t.parent[v]
+        p = parent[v]
         if not 0 <= p < v:
             out.append(f"node {v}: parent {p} does not precede it")
+            sound = False
             continue
-        children[p].append(v)
-        lab_len = t.depth[v] - t.depth[p]
+        held[p] = 1
+        d = depth[v]
+        lab_len = d - depth[p]
         if lab_len < 1:
-            out.append(f"node {v}: depth {t.depth[v]} not deeper than parent {p}")
-        if t.kind == KIND_ACT and lab_len != 1:
+            out.append(f"node {v}: depth {d} not deeper than parent {p}")
+        if act and lab_len != 1:
             out.append(f"node {v}: act edge label has length {lab_len}")
-        u = t.suffix_link[v]
+        # node_string and edge_label read string(start[v]); the root reads none
+        s = start[v]
+        spelled = 1 <= s <= k
+        u = suffix_link[v]
         if not 0 <= u < n:
             out.append(f"node {v}: suffix link {u} out of range")
-        elif t.depth[u] >= t.depth[v]:
+        elif depth[u] >= d:
             out.append(f"node {v}: suffix link {u} is not shallower")
-        elif spelled[v] and spelled[u]:
-            s = t.node_string(v)
-            if t.node_string(u) != s[len(s) - t.depth[u] :]:
+        elif spelled and (not u or 1 <= start[u] <= k):
+            path = t.node_string(v)
+            if t.node_string(u) != path[len(path) - depth[u] :]:
                 out.append(f"node {v}: suffix link {u} is not a suffix of it")
-        if not 1 <= t.start[v] <= t.end[v] <= k:
-            out.append(f"node {v}: interval [{t.start[v]},{t.end[v]}] malformed")
-        elif not (t.start[p] <= t.start[v] and t.end[v] <= t.end[p]):
+        e = end[v]
+        if not 1 <= s <= e <= k:
+            out.append(f"node {v}: interval [{s},{e}] malformed")
+        elif not (start[p] <= s and e <= end[p]):
             out.append(f"node {v}: interval escapes parent {p}'s interval")
-
-    # child lists: ascending labels, disjoint ascending intervals; a child
-    # whose start names no string was reported as malformed above
-    for v in range(n):
-        prev_lab: bytes | None = None
-        prev_end = 0
-        for c in children[v]:
-            if not spelled[c]:
-                continue
-            lab = t.edge_label(c)
-            if prev_lab is not None and lab <= prev_lab:
-                out.append(f"node {v}: children out of lexicographic order at {c}")
-            if t.start[c] <= prev_end:
-                out.append(f"node {v}: child intervals overlap/regress at {c}")
-            prev_lab = lab
-            prev_end = t.end[c]
+        # siblings: ascending labels, disjoint ascending intervals
+        if spelled:
+            q = last[p]
+            if q:
+                if t.edge_label(v) <= t.edge_label(q):
+                    out.append(f"node {p}: children out of lexicographic order at {v}")
+                if s <= end[q]:
+                    out.append(f"node {p}: child intervals overlap/regress at {v}")
+            last[p] = v
+    del last
 
     # the string map: k distinct nodes, each first in its interval; all leaves
-    named = bytearray(n)
     for j, v in enumerate(islice(t.leaf_of, 1, None), 1):
         if not 0 <= v < n:
             out.append(f"string {j}: leaf_of names node {v}, out of range")
+            sound = False
             continue
-        if named[v]:
+        if held[v] & 2:
             out.append(f"string {j}: node {v} is named by an earlier string too")
-        named[v] = 1
-        if t.start[v] != j:
-            out.append(f"string {j}: node {v} starts its interval at {t.start[v]}")
-        elif t.node_string(v) != ss.string(j):
+        held[v] |= 2
+        if start[v] != j:
+            out.append(f"string {j}: node {v} starts its interval at {start[v]}")
+        elif t.node_string(v) != t.strings.string(j):
             out.append(f"string {j}: node {v} spells a different string")
-    for v in range(n):
-        if not children[v] and not named[v]:
-            out.append(f"node {v}: leaf without a whole string")
+    out += (f"node {m.start()}: leaf without a whole string" for m in re.finditer(b"\0", held))
+    del held
 
     # interval exactness against a fresh recomputation
-    try:
-        fresh_start, fresh_end = leaf_intervals(t)
-    except ValueError as exc:
-        out.append(str(exc))
-    else:
-        if fresh_start != t.start or fresh_end != t.end:
-            for v in range(n):
-                if fresh_start[v] != t.start[v] or fresh_end[v] != t.end[v]:
-                    out.append(
-                        f"node {v}: stored interval [{t.start[v]},{t.end[v]}] != "
-                        f"recomputed [{fresh_start[v]},{fresh_end[v]}]"
-                    )
-                    break
+    if sound:
+        try:
+            fresh_start, fresh_end = leaf_intervals(t)
+        except ValueError as exc:  # a node with no whole-string descendant
+            out.append(str(exc))
+        else:
+            if fresh_start != start or fresh_end != end:
+                v = next(
+                    v for v in range(n) if fresh_start[v] != start[v] or fresh_end[v] != end[v]
+                )
+                out.append(
+                    f"node {v}: stored interval [{start[v]},{end[v]}] != "
+                    f"recomputed [{fresh_start[v]},{fresh_end[v]}]"
+                )
 
     # suffix-link maximality (exhaustive, small structures only, and only
     # where every node spells a string)
-    if n <= _SMALL_AUDIT_NODES and all(spelled):
+    if n <= _SMALL_AUDIT_NODES and all(1 <= j <= k for j in start[1:]):
         by_string = {t.node_string(v): v for v in range(n)}
         for v in range(1, n):
             s = t.node_string(v)
-            expect = 0
-            for drop in range(1, len(s) + 1):
-                hit = by_string.get(s[drop:])
-                if hit is not None:
-                    expect = hit
-                    break
-            if t.suffix_link[v] != expect:
+            tails = (by_string.get(s[drop:]) for drop in range(1, len(s) + 1))
+            expect = next((hit for hit in tails if hit is not None), 0)
+            if suffix_link[v] != expect:
                 out.append(
-                    f"node {v}: suffix link {t.suffix_link[v]} is not the longest "
+                    f"node {v}: suffix link {suffix_link[v]} is not the longest "
                     f"proper suffix node ({expect})"
                 )
     return out

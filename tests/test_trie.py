@@ -4,6 +4,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -31,7 +32,7 @@ from hog.trie import (
     to_text,
     verify_structure,
 )
-from hog.verify import FAMILIES, _fibonacci_word, verify_instance
+from hog.verify import FAMILIES, FIXED, _fibonacci_word, verify_instance
 
 FIG1_ACT_STRINGS = {
     b"", b"a", b"aa", b"aab", b"aaba", b"aabaa",
@@ -296,10 +297,11 @@ def test_build_act_takes_the_chase_where_no_string_runs_past_the_branching(monke
 
 
 def test_build_act_takes_rows_where_few_links_run_deeper(monkeypatch):
-    # 100-byte random DNA, the benchmark's long shape: rows for about 5% of
-    # the nodes, and a link deeper than them for about 1 node in 200
-    ss = generate_random(400, 40_000, b"ACGT", 7)
+    # 60-byte random DNA: rows to depth 6, short of the largest lcp (9), and
+    # a link deeper than them for about 1 node in 40
+    ss = generate_random(400, 24_000, b"ACGT", 7)
     top, share = row_plan(ss)
+    assert top < max(map(lcp, ss.strings, (b"",) + ss.strings))
     assert share <= hog.trie._ROWS_MAX_DEEP_SHARE
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     # the share is the limit: at the expected share rows, just under it the
@@ -308,6 +310,18 @@ def test_build_act_takes_rows_where_few_links_run_deeper(monkeypatch):
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", share * Fraction(999, 1000))
     assert routes_taken(monkeypatch, ss) == [("chase",)]
+
+
+def test_build_act_takes_rows_down_to_the_largest_lcp(monkeypatch):
+    # 100-byte random DNA, the benchmark's long shape: rows for about 5% of
+    # the nodes reach the largest lcp (8), so every deeper link lies on a
+    # first-child chain and the share does not decide
+    ss = generate_random(400, 40_000, b"ACGT", 7)
+    top = row_plan(ss)[0]
+    assert top == max(map(lcp, ss.strings, (b"",) + ss.strings))
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 0)
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
     # a smaller budget makes shallower rows
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 1)
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_BYTES_PER_NODE", 2)
@@ -353,6 +367,24 @@ def test_build_act_takes_the_chase_where_many_links_run_deeper(monkeypatch):
     ss = normalize(raw)
     assert row_plan(ss)[1] > hog.trie._ROWS_MAX_DEEP_SHARE
     assert routes_taken(monkeypatch, ss) == [("chase",)]
+
+
+#: the periodic strings of CI's pinned full trie (14,500 nodes)
+PERIODIC = [b"ab" * 3000, b"ba" * 2000, b"aab" * 1500]
+
+
+@pytest.mark.parametrize("raw", [[b"ab" * 5_000], PERIODIC], ids=["ab", "three"])
+def test_build_act_takes_rows_on_periodic_strings(monkeypatch, raw):
+    # the rows reach the largest lcp, so every deeper link lies on a
+    # first-child chain, which the runs copy by slices (the expected share
+    # of deep links, 0.5 for one "ab" string, assumes random text)
+    ss = normalize(raw)
+    top = row_plan(ss)[0]
+    assert top == max(map(lcp, ss.strings, (b"",) + ss.strings))
+    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    act, by_chase = build_act(ss), build_act_unchecked(ss, False)
+    for c in COLUMNS:
+        assert getattr(act, c) == getattr(by_chase, c), c
 
 
 def chase_line_events(ss):
@@ -468,6 +500,18 @@ def test_build_act_traced_peak_per_node_by_the_chase():
     act, peak = measure_peak_memory(lambda: build_act(ss))
     assert act.n_nodes == 73_799
     assert peak / act.n_nodes <= 32
+
+
+def test_audit_traced_peak_per_node():
+    # one pass holds a 4-byte last child and a flag byte per node, then the
+    # recomputed intervals take 8; a Python list of children per node took
+    # 138 bytes per node
+    act = build_act(generate_random(2_000, 200_000, b"ACGT", 1))
+    verify_structure(act)
+    problems, peak = measure_peak_memory(lambda: verify_structure(act))
+    assert problems == []
+    assert act.n_nodes == 190_721
+    assert peak / act.n_nodes <= 20
 
 
 def test_contract_extended_traced_peak_per_kept_node():
@@ -1037,6 +1081,44 @@ def test_audit_catches_a_node_named_twice():
     problems = verify_structure(act)
     assert any("named by an earlier string" in msg for msg in problems)
     assert f"node {names.index(b'aadbd')}: leaf without a whole string" in problems
+
+
+@pytest.mark.parametrize("column, v, value, msg", [
+    ("parent", 5, 7, "node 5: parent 7 does not precede it"),
+    ("leaf_of", 2, 99, "string 2: leaf_of names node 99, out of range"),
+])
+def test_audit_reports_a_fault_once(column, v, value, msg):
+    # the interval recomputation would meet the same fault again
+    act = fig1_act()
+    getattr(act, column)[v] = value
+    assert verify_structure(act).count(msg) == 1
+
+
+def audited_graphs():
+    """The full, extended and minimal graphs of every fixed case and family."""
+    for raw in FIXED + list(FAMILIES.values()):
+        full = build_act(normalize(raw))
+        ext = contract(full, mark_ehog(full), KIND_EHOG)
+        yield from (full, ext, contract(ext, mark_hog_new(ext), KIND_HOG))
+
+
+def test_audit_of_random_corruptions_neither_raises_nor_repeats():
+    graphs = list(audited_graphs())
+    rng = random.Random(27)
+    for _ in range(1_500):
+        t = rng.choice(graphs)
+        t = replace(t, **{c: getattr(t, c)[:] for c in COLUMNS})
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            column = getattr(t, rng.choice(COLUMNS))
+            v = rng.randrange(len(column))
+            column[v] = rng.choice((
+                rng.randint(-2, t.n_nodes + 2),  # near the ids
+                column[rng.randrange(len(column))],  # another entry's value
+                max(-2**31, min(2**31 - 1, column[v] + rng.choice((-1, 1)))),
+                rng.choice((-2**31, 2**31 - 1, 0, -1, t.k, t.k + 1)),
+            ))
+        problems = verify_structure(t)
+        assert len(set(problems)) == len(problems), problems
 
 
 # -- serialization ------------------------------------------------------------
