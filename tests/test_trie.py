@@ -273,6 +273,12 @@ def routes_taken(monkeypatch, ss):
     return taken
 
 
+def largest_lcp(ss):
+    """The depth of the deepest branching node: the largest lcp of sorted
+    neighbours."""
+    return max(map(lcp, ss.strings, (b"",) + ss.strings))
+
+
 def row_plan(ss):
     """The rows ``build_act`` may make, from the full trie: the deepest depth,
     up to the largest lcp, whose nodes' rows (``8 * (σ + 13)`` bytes each,
@@ -280,7 +286,7 @@ def row_plan(ss):
     the share of links expected deeper: the nodes one deeper among all
     strings of that length."""
     act = build_act(ss)
-    branched = max(map(lcp, ss.strings, (b"",) + ss.strings))
+    branched = largest_lcp(ss)
     sigma = len(set(b"".join(ss.strings)))
     budget = hog.trie._ROWS_MAX_BYTES_PER_NODE * act.n_nodes - 40 * ss.k
     top = max(d for d in range(branched + 1)
@@ -292,7 +298,7 @@ def test_build_act_takes_the_chase_where_no_string_runs_past_the_branching(monke
     # 10-byte strings and a largest lcp of 9: no node below the deepest
     # branching node has a child, so runs would have next to nothing to fill
     ss = generate_random(2_000, 20_000, b"ACGT", 1)
-    assert max(map(lcp, ss.strings, (b"",) + ss.strings)) + 1 >= 10
+    assert largest_lcp(ss) + 1 >= 10
     assert routes_taken(monkeypatch, ss) == [("chase",)]
 
 
@@ -301,7 +307,7 @@ def test_build_act_takes_rows_where_few_links_run_deeper(monkeypatch):
     # a link deeper than them for about 1 node in 40
     ss = generate_random(400, 24_000, b"ACGT", 7)
     top, share = row_plan(ss)
-    assert top < max(map(lcp, ss.strings, (b"",) + ss.strings))
+    assert top < largest_lcp(ss)
     assert share <= hog.trie._ROWS_MAX_DEEP_SHARE
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     # the share is the limit: at the expected share rows, just under it the
@@ -318,7 +324,7 @@ def test_build_act_takes_rows_down_to_the_largest_lcp(monkeypatch):
     # first-child chain and the share does not decide
     ss = generate_random(400, 40_000, b"ACGT", 7)
     top = row_plan(ss)[0]
-    assert top == max(map(lcp, ss.strings, (b"",) + ss.strings))
+    assert top == largest_lcp(ss)
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 0)
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
@@ -380,7 +386,7 @@ def test_build_act_takes_rows_on_periodic_strings(monkeypatch, raw):
     # of deep links, 0.5 for one "ab" string, assumes random text)
     ss = normalize(raw)
     top = row_plan(ss)[0]
-    assert top == max(map(lcp, ss.strings, (b"",) + ss.strings))
+    assert top == largest_lcp(ss)
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     act, by_chase = build_act(ss), build_act_unchecked(ss, False)
     for c in COLUMNS:
