@@ -251,13 +251,15 @@ def build_act(ss: StringSet) -> OverlapTrie:
     (2) and ``next_sibling`` (4), held beside the output columns, and a
     256-entry table of the root's children.  The rows
     are taken where some string runs more than one byte past depth ``L``
-    and either ``top`` is ``L``, so that every deeper link lies on a
-    first-child chain that the runs copy by slices (as on periodic strings,
-    where the chase took about 7 times as long), or at most
-    ``_ROWS_MAX_DEEP_SHARE`` of the links are expected deeper than ``top``
-    (the nodes of depth ``top + 1`` among the σ ** (top + 1) strings of that
-    length), since each such link costs the runs some Python steps; the
-    chase otherwise, as with 20,000 random strings of 10 bytes.  Either way
+    and either at most ``_ROWS_MAX_DEEP_SHARE`` of the links are expected
+    deeper than ``top`` (the nodes of depth ``top + 1`` among the
+    σ ** (top + 1) strings of that length), since each such link costs the
+    runs some Python steps, or ``top`` is ``L`` and every string repeats
+    itself (:func:`_repeats`): then the deeper links lie on long first-child
+    chains, which the runs copy by slices (on one ``(ab) ** 50,000`` the
+    chase took about 7 times as long).  The chase is taken otherwise, as
+    with 20,000 random strings of 10 bytes, or one random string, whose
+    runs would stop at about one node in four.  Either way
     a node whose link waits for one not filled yet is parked by depth and
     resumed once every shallower link is final.  Below
     the rows, where links climb down the first-child chain of a deep node,
@@ -315,12 +317,14 @@ def build_act_unchecked(ss: StringSet, by_rows: bool | None) -> OverlapTrie:
             else:
                 hi = mid - 1
         if by_rows is None:
-            # rows down to the largest lcp leave every deeper link on a
-            # first-child chain, copied by slices; else the share of links
-            # deeper than top expected of random text: the nodes of depth
-            # top + 1 among all strings of that length
+            # the share of links deeper than top expected of random text:
+            # the nodes of depth top + 1 among all strings of that length;
+            # or rows down to the largest lcp over periodic strings, whose
+            # deeper links lie on long first-child chains, copied by slices
             deep = _nodes_to_depth(lcps, lens, top + 1) - _nodes_to_depth(lcps, lens, top)
-            by_rows = top >= branched or deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE
+            by_rows = deep / sigma ** (top + 1) <= _ROWS_MAX_DEEP_SHARE or (
+                top >= branched and all(map(_repeats, strings))
+            )
     by_rows = bool(by_rows)
     # whole columns, as they are inside a tail; pass 2 mends its two ends.
     # parent[v] is v - 1 there.  The ids are a temporary one longer than a
@@ -396,6 +400,14 @@ def _nodes_to_depth(lcps: array, lens: array, d: int) -> int:
     """The number of trie nodes no deeper than ``d``: string ``j`` makes one
     at each depth from its lcp + 1 to its length."""
     return 1 + sum(map(min, lens, repeat(d))) - sum(map(min, lcps, repeat(d)))
+
+
+def _repeats(s: bytes) -> bool:
+    """Whether ``s`` has a period of at most half its length, rounded up: at
+    the first ``p > 0`` where its first half recurs, ``s`` starts with
+    ``s[p:]``.  Both searches run in C."""
+    p = s.find(s[: len(s) // 2], 1)
+    return p > 0 and s.startswith(s[p:])
 
 
 def _alphabet(strings: tuple[bytes, ...]) -> bytes:

@@ -320,14 +320,16 @@ def test_build_act_takes_rows_where_few_links_run_deeper(monkeypatch):
 
 def test_build_act_takes_rows_down_to_the_largest_lcp(monkeypatch):
     # 100-byte random DNA, the benchmark's long shape: rows for about 5% of
-    # the nodes reach the largest lcp (8), so every deeper link lies on a
-    # first-child chain and the share does not decide
+    # the nodes reach the largest lcp (8), and a link deeper than them for
+    # about 1 node in 200
     ss = generate_random(400, 40_000, b"ACGT", 7)
-    top = row_plan(ss)[0]
+    top, share = row_plan(ss)
     assert top == largest_lcp(ss)
+    assert share <= hog.trie._ROWS_MAX_DEEP_SHARE
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    # random strings do not repeat, so the share decides
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 0)
-    assert routes_taken(monkeypatch, ss) == [("rows", top)]
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
     # a smaller budget makes shallower rows
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_DEEP_SHARE", 1)
     monkeypatch.setattr(hog.trie, "_ROWS_MAX_BYTES_PER_NODE", 2)
@@ -381,16 +383,47 @@ PERIODIC = [b"ab" * 3000, b"ba" * 2000, b"aab" * 1500]
 
 @pytest.mark.parametrize("raw", [[b"ab" * 5_000], PERIODIC], ids=["ab", "three"])
 def test_build_act_takes_rows_on_periodic_strings(monkeypatch, raw):
-    # the rows reach the largest lcp, so every deeper link lies on a
-    # first-child chain, which the runs copy by slices (the expected share
-    # of deep links, 0.5 for one "ab" string, assumes random text)
+    # the rows reach the largest lcp and the strings repeat, so every deeper
+    # link lies on a long first-child chain, which the runs copy by slices
+    # (the expected share of deep links, 0.5 for one "ab" string, assumes
+    # random text)
     ss = normalize(raw)
-    top = row_plan(ss)[0]
+    top, share = row_plan(ss)
     assert top == largest_lcp(ss)
+    assert share > hog.trie._ROWS_MAX_DEEP_SHARE
     assert routes_taken(monkeypatch, ss) == [("rows", top)]
     act, by_chase = build_act(ss), build_act_unchecked(ss, False)
     for c in COLUMNS:
         assert getattr(act, c) == getattr(by_chase, c), c
+
+
+@pytest.mark.parametrize("k, n", [(1, 200_000), (10, 100_000)])
+def test_build_act_takes_the_chase_on_long_random_strings(monkeypatch, k, n):
+    # the rows reach the largest lcp, but random text does not repeat: the
+    # runs would stop at about one node in four (k = 1), and rows took about
+    # 3 times as long as the chase
+    ss = generate_random(k, n, b"ACGT", 1)
+    top, share = row_plan(ss)
+    assert top == largest_lcp(ss)
+    assert share > hog.trie._ROWS_MAX_DEEP_SHARE
+    assert routes_taken(monkeypatch, ss) == [("chase",)]
+
+
+@pytest.mark.parametrize("s, repeats", [
+    (b"ab" * 5, True),
+    (b"ab" * 5 + b"a", True),
+    (b"aab" * 3, True),
+    (b"abcab", True),  # period 3, half of 5 rounded up
+    (b"abcdab", False),  # period 4
+    (b"abcabd", False),
+    (b"ab" * 5 + b"b", False),
+    (_fibonacci_word(1_000), False),
+])
+def test_repeats(s, repeats):
+    assert hog.trie._repeats(s) is repeats
+    # the same as asking for the smallest period
+    period = next(p for p in range(1, len(s) + 1) if s[p:] == s[:-p])
+    assert (period <= -(-len(s) // 2)) is repeats
 
 
 def chase_line_events(ss):
