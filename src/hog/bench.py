@@ -1,12 +1,12 @@
 """Benchmark harness: timed builds, algorithm comparison, parameter sweeps.
 
-Timing conventions: structure-build time covers the full pipeline (prefix
-trie, suffix-path marking, contraction); marking time covers one marking
-algorithm on the built structure, including its own preprocessing (suffix
-lists, fav shortcuts, cover tree).  Every algorithm gets one untimed warmup
-run — reused for mark-vector equality checks and the allocation trace — and
-one more untimed, untraced run that fills its work counters, followed by
-``reps`` timed runs reported as median and mean.  Points run serially:
+Timing conventions: structure-build time covers the extended stages of
+:func:`~hog.ehog.build_ehog` (prefix trie, suffix-path marking, contraction);
+marking time covers one marking algorithm on the extended structure,
+including its own preprocessing (suffix lists, fav shortcuts, cover tree).
+Every algorithm gets one untimed warmup run — checked against the build's
+``new`` marks, and traced — and one more untimed, untraced run that fills its
+work counters, followed by ``reps`` timed runs reported as median and mean.  Points run serially:
 parallel timing in one interpreter would contend on the GIL and lie.
 
 Peak memory is the traced-allocation peak of the warmup run (portable and
@@ -125,7 +125,6 @@ class BenchReport:
     seed: int | None
     build: EhogBuild
     runs: list[MarkingRun]
-    nodes_hog: int
 
 
 CSV_HEADER = (
@@ -151,7 +150,7 @@ def write_csv(reports: list[BenchReport], path: str) -> int:
             new = run.algo == "new"
             rows.append([
                 report.dataset, build.trie.k, build.trie.strings.n, build.nodes_act,
-                build.trie.n_nodes, report.nodes_hog, f"{build.seconds:.6f}", run.algo,
+                build.trie.n_nodes, build.minimal.n_nodes, f"{build.seconds:.6f}", run.algo,
                 f"{run.median_s:.6f}", run.peak_alloc,
                 run.counters.get("suffix_hops") if new else None,
                 run.counters.get("count_updates") if new else None,
@@ -173,35 +172,26 @@ def bench_point(
 ) -> BenchReport:
     """Build the structure once, run every algorithm on it, compare marks.
 
-    Any two successful algorithms must produce bit-identical mark vectors;
-    a mismatch raises :class:`BenchError` naming the first differing node.
-    Timed-out algorithms are reported as such; :func:`write_csv` gives
-    them no row.
+    Every successful algorithm must produce the build's ``new`` mark vector
+    bit for bit; a mismatch raises :class:`BenchError` naming the first
+    differing node.  Timed-out algorithms are reported as such;
+    :func:`write_csv` gives them no row.
     """
     build = build_ehog(ss)
-    trie = build.trie
+    trie, want = build.trie, build.marks
     runs = [run_marking(trie, algo, reps=reps, timeout_s=timeout_s) for algo in algos]
-
-    reference: MarkingRun | None = None
     for run in runs:
-        if run.timed_out or run.marks is None:
+        if run.timed_out or run.marks == want:
             continue
-        if reference is None:
-            reference = run
-            continue
-        if run.marks != reference.marks:
-            v = next(v for v in range(trie.n_nodes) if run.marks[v] != reference.marks[v])
-            raise BenchError(
-                f"mark vectors differ: {reference.algo} vs {run.algo} first "
-                f"disagree at node {v} (path string {trie.node_string(v)!r}, "
-                f"depth {trie.depth[v]})"
-            )
-    if reference is None:
+        v = next(v for v in range(trie.n_nodes) if run.marks[v] != want[v])
+        raise BenchError(
+            f"mark vectors differ: new vs {run.algo} first "
+            f"disagree at node {v} (path string {trie.node_string(v)!r}, "
+            f"depth {trie.depth[v]})"
+        )
+    if all(run.timed_out for run in runs):
         raise BenchError(f"every algorithm timed out on {dataset}")
-
-    return BenchReport(
-        dataset=dataset, seed=seed, build=build, runs=runs, nodes_hog=sum(reference.marks)
-    )
+    return BenchReport(dataset=dataset, seed=seed, build=build, runs=runs)
 
 
 def sweep(
@@ -247,7 +237,7 @@ def sweep(
             )
             progress(
                 f"[sweep] {name}: |A|={report.build.nodes_act} |E|={report.build.trie.n_nodes} "
-                f"|H|={report.nodes_hog} T(E)={report.build.seconds:.3f}s {done}"
+                f"|H|={report.build.minimal.n_nodes} T(E)={report.build.seconds:.3f}s {done}"
             )
     return reports
 
@@ -268,7 +258,7 @@ def render_report(report: BenchReport, reps: int) -> str:
     lines = [
         f"dataset {report.dataset}: k={build.trie.k} n={build.trie.strings.n}",
         f"  nodes: full-trie={build.nodes_act} extended={build.trie.n_nodes} "
-        f"minimal={report.nodes_hog}",
+        f"minimal={build.minimal.n_nodes}",
         f"  structure build: {build.seconds:.4f}s",
         f"  marking ({reps} reps, median):",
     ]

@@ -28,9 +28,8 @@ from .bench import (
 )
 from .datasets import StringSet, generate_random, load_fasta, load_lines, normalize
 from .ehog import build_ehog
-from .marking import mark_hog_new
 from .queries import QueryEngine, parse_batch, run_batch
-from .trie import KIND_EHOG, KIND_HOG, contract, to_text
+from .trie import KIND_EHOG, KIND_HOG, to_text
 from .verify import instances, verify_instance
 
 
@@ -135,10 +134,9 @@ def _bench(
 
 def cmd_build(args: argparse.Namespace) -> int:
     def serialize(report: BenchReport) -> None:
-        if args.serialize:  # bench_point raised if the one algorithm timed out
-            hog = contract(report.build.trie, report.runs[0].marks, KIND_HOG)
+        if args.serialize:
             with open(args.serialize, "w", encoding="ascii") as fh:
-                fh.write(to_text(hog))
+                fh.write(to_text(report.build.minimal))
             print(f"  serialized minimal structure -> {args.serialize}")
 
     return _bench(args, [args.algo], serialize)
@@ -201,16 +199,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     ss, name, _ = _load_dataset(args)
-    structure = build_ehog(ss).trie
-    if args.engine == KIND_HOG:
-        structure = contract(structure, mark_hog_new(structure), KIND_HOG)
-    engine = QueryEngine(structure)
+    # read and parsed before the build, which can take seconds, not after it
     if args.batch == "-":
         text = sys.stdin.read()
     else:
         with open(args.batch, "r", encoding="ascii") as fh:
             text = fh.read()
     queries = parse_batch(text)
+    build = build_ehog(ss)
+    engine = QueryEngine(build.minimal if args.engine == KIND_HOG else build.trie)
     lines, latency = run_batch(engine, queries)
     for line in lines:
         print(line)

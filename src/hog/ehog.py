@@ -1,4 +1,4 @@
-"""Building the intermediate (extended) overlap structure.
+"""Building the extended overlap structure, then the minimal one.
 
 The extended structure keeps the root, every whole string, and every node on
 any suffix-link path from a whole-string node — a superset of all pairwise
@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .datasets import StringSet
-from .trie import KIND_EHOG, MarkVector, OverlapTrie, build_act, contract
+from .marking import mark_hog_new
+from .trie import KIND_EHOG, KIND_HOG, MarkVector, OverlapTrie, build_act, contract
 
 
 def mark_ehog(act: OverlapTrie, counters: dict[str, int] | None = None) -> MarkVector:
@@ -47,18 +48,26 @@ def mark_ehog(act: OverlapTrie, counters: dict[str, int] | None = None) -> MarkV
 
 @dataclass(frozen=True)
 class EhogBuild:
-    """Result of :func:`build_ehog`: the structure plus build accounting."""
+    """Result of :func:`build_ehog`: the extended graph (``trie``), ``new``'s
+    marks on it, the minimal graph and accounting; no full trie, as sweeps
+    hold every build."""
 
     trie: OverlapTrie
+    marks: MarkVector
+    minimal: OverlapTrie
     nodes_act: int
     seconds: float
 
 
 def build_ehog(ss: StringSet) -> EhogBuild:
-    """Build the extended overlap structure for ``ss``, timing the whole
-    pipeline (prefix trie construction, suffix-path marking, contraction)."""
+    """Build ``ss``'s pipeline: full trie, suffix-path marking, contraction to
+    the extended graph, then ``new``'s marks and contraction to the minimal
+    graph.  ``seconds`` times the extended stages only."""
     t0 = time.perf_counter()
     act = build_act(ss)
-    marks = mark_ehog(act)
-    ehog = contract(act, marks, KIND_EHOG)
-    return EhogBuild(trie=ehog, nodes_act=act.n_nodes, seconds=time.perf_counter() - t0)
+    nodes_act = act.n_nodes
+    ehog = contract(act, mark_ehog(act), KIND_EHOG)
+    seconds = time.perf_counter() - t0
+    del act  # the largest graph; marking needs only the extended one
+    marks = mark_hog_new(ehog)
+    return EhogBuild(ehog, marks, contract(ehog, marks, KIND_HOG), nodes_act, seconds)

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 from .baselines import algorithm_names, brute_force_ov, get_marker, ov_length
 from .datasets import SplitMix64, StringSet, generate_random
-from .ehog import mark_ehog
+from .ehog import build_ehog
 from .queries import QueryEngine
 from .trie import (
     COLUMNS,
@@ -22,9 +22,7 @@ from .trie import (
     KIND_EHOG,
     KIND_HOG,
     OverlapTrie,
-    build_act,
     build_act_unchecked,
-    contract,
     contract_unchecked,
     verify_structure,
 )
@@ -198,12 +196,13 @@ def _differing(a: OverlapTrie, b: OverlapTrie, what: str) -> list[tuple[str, str
 def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     """Run every cross-check on one small string set.
 
-    Returns one ``(check, message)`` pair per failure, ``check`` one of
-    :data:`CHECKS`: ``structure`` (audits of the full, extended and minimal
-    graphs, minimal ⊆ extended ⊆ full as string sets, the same full-trie
-    columns from both of ``build_act``'s ways of filling suffix links, and
-    the same minimal columns from both of ``contract``'s ways of taking the
-    kept nodes),
+    The extended and minimal graphs come from :func:`~hog.ehog.build_ehog`,
+    the full trie from ``build_act``'s rows way.  Returns one ``(check,
+    message)`` pair per failure, ``check`` one of :data:`CHECKS`:
+    ``structure`` (audits of the three graphs, minimal ⊆ extended ⊆ full as
+    string sets, the same full-trie columns from both of ``build_act``'s
+    ways of filling suffix links, and the same minimal columns from both of
+    ``contract``'s ways of taking the oracle's kept nodes),
     ``sets`` (node and marked sets against their oracles), ``vectors`` (one
     of the four markers differs, on the full trie or the extended graph,
     from the oracle's vector: the nodes whose strings are in the brute-force
@@ -214,14 +213,15 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
     strings = ss.strings
     want_h = brute_force_ov(strings) | set(strings) | {b""}
 
-    act = build_act(ss)
+    build = build_ehog(ss)
+    ehog, hog = build.trie, build.minimal
+    act = build_act_unchecked(ss, True)
     # build_act fills suffix links by rows or by the chase; both ways must
     # build the same columns
     problems += _differing(
-        build_act_unchecked(ss, True), build_act_unchecked(ss, False),
+        act, build_act_unchecked(ss, False),
         "act: the two ways of filling suffix links differ in",
     )
-    ehog = contract(act, mark_ehog(act), KIND_EHOG)
     for t in (act, ehog):
         ref = bytes(t.node_string(v) in want_h for v in range(t.n_nodes))
         for algo in algorithm_names():
@@ -239,7 +239,6 @@ def verify_instance(ss: StringSet) -> list[tuple[str, str]]:
                 "sets",
                 f"marks on {t.kind}: extra={got - want_h!r} missing={want_h - got!r}",
             ))
-    hog = contract(ehog, ref, KIND_HOG)
     # contract takes the kept nodes by runs or one by one; both ways must
     # build the same columns
     problems += _differing(

@@ -23,10 +23,9 @@ from hog.baselines import get_marker
 from hog.bench import run_marking, sweep
 from hog.cli import main
 from hog.datasets import generate_random, normalize
-from hog.ehog import build_ehog, mark_ehog
+from hog.ehog import build_ehog
 from hog.marking import mark_hog_new
 from hog.queries import QueryEngine
-from hog.trie import KIND_EHOG, KIND_HOG, build_act, contract
 from hog.verify import CHECKS, verify_instance
 
 CORPUS_SIZE = 1000
@@ -141,11 +140,9 @@ def test_criterion_2_mark_vectors_bit_identical(corpus, verdict):
 
 
 def test_criterion_3_worked_instance_goldens(verdict):
-    ss = normalize(FIG1)
-    act = build_act(ss)
-    ehog = contract(act, mark_ehog(act), KIND_EHOG)
-    hog = contract(ehog, mark_hog_new(ehog), KIND_HOG)
-    sizes = (act.n_nodes, ehog.n_nodes, hog.n_nodes)
+    b = build_ehog(normalize(FIG1))
+    ehog, hog = b.trie, b.minimal
+    sizes = (b.nodes_act, ehog.n_nodes, hog.n_nodes)
     ok = (
         sizes == (14, 8, 6)
         and node_strings(ehog) == FIG1_EHOG
@@ -252,8 +249,7 @@ def test_criterion_7_query_oracle_equivalence(corpus, verdict):
 
 
 def test_criterion_8_query_latency_and_state(big_build, verdict):
-    marks = mark_hog_new(big_build.trie)
-    hog = contract(big_build.trie, marks, KIND_HOG)
+    hog = big_build.minimal
     eng = QueryEngine(hog)
     k = hog.k
     rng = random.Random(8)

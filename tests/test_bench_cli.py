@@ -144,7 +144,7 @@ def test_run_marking_timeout(monkeypatch):
 def test_bench_point_runs_all_algorithms():
     ss = normalize(FIG1)
     report = bench_point(ss, ["new", "khan", "parkcpr", "cazaux"], reps=2)
-    assert report.nodes_hog == 6
+    assert report.build.minimal.n_nodes == 6
     assert [r.algo for r in report.runs] == ["new", "khan", "parkcpr", "cazaux"]
     assert not any(r.timed_out for r in report.runs)
     text = render_report(report, 2)
@@ -157,6 +157,12 @@ def test_bench_point_rejects_disagreeing_marks(monkeypatch):
     monkeypatch.setitem(baselines.MARKERS, "bogus", bogus_marker)
     with pytest.raises(BenchError, match="disagree at node"):
         bench_point(normalize(FIG1), ["new", "bogus"])
+
+
+def test_bench_point_checks_a_lone_marker_against_new(monkeypatch):
+    monkeypatch.setitem(baselines.MARKERS, "bogus", bogus_marker)
+    with pytest.raises(BenchError, match="new vs bogus first disagree at node"):
+        bench_point(normalize(FIG1), ["bogus"], reps=1)
 
 
 def test_bench_point_excludes_timed_out_rows(monkeypatch, tmp_path):
@@ -230,6 +236,18 @@ def test_cli_build_with_csv_and_serialize(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["algo"] == "new"
     assert "full-trie=14" in capsys.readouterr().out
+
+
+def test_cli_build_serializes_the_same_minimal_graph_for_every_algo(tmp_path):
+    inp = fig1_file(tmp_path)
+    dumps = []
+    for algo in ("new", "khan"):
+        dump = tmp_path / f"{algo}.txt"
+        assert main(["build", "--input", inp, "--algo", algo, "--reps", "1",
+                     "--serialize", str(dump)]) == 0
+        dumps.append(dump.read_text())
+    assert dumps[0].startswith("# kind=hog nodes=6 ")
+    assert dumps[1] == dumps[0]
 
 
 def test_cli_build_csv_quotes_a_comma_in_the_dataset_name(tmp_path, capsys):
@@ -504,12 +522,19 @@ def test_cli_query_has_no_algo_option(tmp_path, capsys):
     assert "unrecognized arguments: --algo" in capsys.readouterr().err
 
 
-def test_cli_query_rejects_bad_batch(tmp_path, capsys):
+def test_cli_query_rejects_bad_batch(monkeypatch, tmp_path, capsys):
+    built = []
+    monkeypatch.setattr(hog.cli, "build_ehog", built.append)
     inp = fig1_file(tmp_path)
     batch = tmp_path / "batch.txt"
     batch.write_text("Z 1\n")
     assert main(["query", "--input", inp, "--batch", str(batch)]) == 1
     assert "line 1" in capsys.readouterr().err
+    assert main(["query", "--input", inp, "--batch", str(tmp_path / "missing.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "missing.txt" in captured.err
+    assert captured.out == ""
+    assert built == []  # the batch is read and parsed before the build
 
 
 def test_cli_query_rejects_out_of_range_index(tmp_path, capsys):

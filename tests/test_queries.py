@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hog.baselines import mark_hog_oracle
 from hog.datasets import normalize
 from hog.ehog import build_ehog
-from hog.marking import mark_hog_new
 from hog.queries import QueryEngine, parse_batch, run_batch
 from hog.trie import KIND_HOG, build_act, contract
 from hog.verify import FAMILIES, check_queries
@@ -145,8 +144,7 @@ def test_unary_closed_form_at_scale():
     # a^1..a^K: ov(i, j) = min(i, j) - 1, and every path node's range
     # contains all the ranges answered before it
     K = 2000
-    e = build_ehog(normalize([b"a" * i for i in range(1, K + 1)])).trie
-    eng = QueryEngine(contract(e, mark_hog_new(e), KIND_HOG))
+    eng = QueryEngine(build_ehog(normalize([b"a" * i for i in range(1, K + 1)])).minimal)
     for i in (1, 2, 3, 999, K - 1, K):
         assert eng.one_to_all(i) == [min(i, j) - 1 for j in range(1, K + 1)]
         for lo in (0, 1, 2, 500, i - 1, i, K):
